@@ -72,7 +72,10 @@ pub fn spmv_sim(
     }
     let intra_off_r = m.alloc("intra_offsets", 4 * (n + 1), place4(&v_ends_plus, 4));
     let intra_dst_r = m.alloc("intra_dst", 4 * layout.intra_dst.len(), place4(&intra_ends, 4));
-    let msg_ends: Vec<u64> = v_ends.iter().map(|&v| layout.msg_offsets[v as usize]).collect();
+    // Node vertex ends are partition-aligned, so a node's messages end at
+    // its last partition's end of the per-source-partition prefix.
+    let src_offsets = layout.png_src_offsets();
+    let msg_ends: Vec<u64> = plan.nodes.iter().map(|nd| src_offsets[nd.part_range.end]).collect();
     let png_src_r = m.alloc("png_src", 4 * msgs, place4(&msg_ends, 4));
     let slot_ends: Vec<u64> = plan
         .nodes

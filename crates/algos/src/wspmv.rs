@@ -28,18 +28,18 @@ impl WeightedPcpm {
         let layout = PcpmLayout::build(w.csr(), verts_per_partition, false);
         // Replay the layout's construction order to permute weights: for
         // each source vertex, its sorted adjacency splits into intra entries
-        // (in order) and message runs; the k-th destination of each message
-        // lands at dest_offsets[slot] + k.
+        // (in order) and message runs; each run takes the next slot of its
+        // destination partition, and its k-th destination lands at
+        // dest_offsets[slot] + k.
         let mut intra_weights = vec![0.0f32; layout.intra_dst.len()];
         let mut dest_weights = vec![0.0f32; layout.dest_verts.len()];
         let mut intra_cur = 0usize;
-        let mut msg_cur = 0usize;
-        let mut fill: Vec<u64> = layout.dest_offsets[..layout.total_msgs as usize].to_vec();
+        let mut cursors: Vec<u64> = layout.part_slot_ranges.iter().map(|r| r.start).collect();
         let vpp = layout.verts_per_partition;
         for v in 0..w.num_vertices() as u32 {
             let pv = v as usize / vpp;
             let mut run_part = usize::MAX;
-            let mut run_slot = 0u64;
+            let mut fill = 0usize;
             for (t, weight) in w.neighbors(v) {
                 let pt = t as usize / vpp;
                 if pt == pv {
@@ -50,13 +50,12 @@ impl WeightedPcpm {
                 }
                 if pt != run_part {
                     run_part = pt;
-                    run_slot = layout.msg_slot[msg_cur];
-                    msg_cur += 1;
+                    fill = layout.dest_offsets[cursors[pt] as usize] as usize;
+                    cursors[pt] += 1;
                 }
-                let f = &mut fill[run_slot as usize];
-                debug_assert_eq!(layout.dest_verts[*f as usize], t);
-                dest_weights[*f as usize] = weight;
-                *f += 1;
+                debug_assert_eq!(layout.dest_verts[fill], t);
+                dest_weights[fill] = weight;
+                fill += 1;
             }
         }
         WeightedPcpm { layout, intra_weights, dest_weights }

@@ -29,10 +29,9 @@ fn bench_layout(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sequential vs parallel PCPM layout build at several worker counts.
-/// The graph is big enough (~50k vertices) that the default chunk
-/// decomposition produces a dozen chunks per pass, so the parallel path is
-/// genuinely exercised rather than degenerating to one chunk.
+/// Single-worker vs multi-worker PCPM layout build. The graph is big enough
+/// (~50k vertices) that every worker count splits each partition into
+/// several chunks.
 fn bench_parallel_build(c: &mut Criterion) {
     use hipa_graph::gen::{zipf_graph, ZipfParams};
     let g = hipa_graph::DiGraph::from_edge_list(&zipf_graph(
@@ -50,7 +49,7 @@ fn bench_parallel_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_build");
     group.sample_size(20).measurement_time(Duration::from_secs(2));
     group.throughput(criterion::Throughput::Elements(g.num_edges() as u64));
-    group.bench_function("seq", |b| b.iter(|| PcpmLayout::build_seq_ext(csr, vpp, false, true)));
+    group.bench_function("seq", |b| b.iter(|| PcpmLayout::build_par_ext(csr, vpp, false, true, 1)));
     for threads in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("par", threads), &threads, |b, &t| {
             b.iter(|| PcpmLayout::build_par_ext(csr, vpp, false, true, t))

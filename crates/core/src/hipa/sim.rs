@@ -169,7 +169,10 @@ pub fn run_variant(
         .collect();
     let png_pairs_r =
         machine.alloc("png_pairs", 12 * layout.png_pairs.len(), blocked_by_index(&pair_ends, 12));
-    let msg_ends: Vec<u64> = v_ends.iter().map(|&v| layout.msg_offsets[v as usize]).collect();
+    // Node vertex ends are partition-aligned, so a node's messages end at
+    // its last partition's end of the per-source-partition prefix.
+    let src_offsets = layout.png_src_offsets();
+    let msg_ends: Vec<u64> = plan.nodes.iter().map(|nd| src_offsets[nd.part_range.end]).collect();
     let png_src_r = machine.alloc("png_src", 4 * msgs, blocked_by_index(&msg_ends, 4));
     // Gather-side arrays are split by *destination* partition ownership, so
     // a node gathers from local memory (Fig. 1).

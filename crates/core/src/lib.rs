@@ -30,6 +30,7 @@ pub mod preorder;
 pub mod prepared;
 pub mod reference;
 pub mod runs;
+pub mod topk;
 
 pub use config::{DanglingPolicy, PageRankConfig};
 pub use hipa::sim::HiPaVariant;
@@ -38,3 +39,4 @@ pub use pcpm::{layout_builds_total, PcpmLayout};
 pub use prepared::PcpmPrepared;
 pub use reference::reference_pagerank;
 pub use runs::{Engine, NativeOpts, NativeRun, ReorderStrategy, SimOpts, SimRun};
+pub use topk::top_k;

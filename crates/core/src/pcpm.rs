@@ -20,25 +20,26 @@
 //! as one stream. Sizes are static because PageRank sends every message in
 //! every iteration.
 //!
-//! disjointness: build-chunk plan — each parallel build pass claims fixed
-//! `CHUNK_VERTS` vertex chunks (or whole partitions) via `run_indexed`, and
-//! every write lands in the claimed chunk's own index range of the output
-//! arrays; each `SharedSlice` lives for a single pass.
+//! disjointness: build-chunk plan (`chunk_plan`) — every chunk is a vertex
+//! range inside one partition, claimed once per pass via `run_indexed`. The
+//! count pass writes only the chunk's own count-matrix row; the fill pass
+//! writes only the chunk's own vertex range of `intra_offsets` / `intra_dst`
+//! and the slot, destination and PNG-source cursor blocks the sequential
+//! scans reserved for it. Each `SharedSlice` lives for a single pass.
 
+use crate::disjoint::SharedSlice;
 use crate::par::run_indexed;
 use hipa_graph::Csr;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Vertices per parallel build chunk. Fixed (not thread-derived) so the
-/// chunk decomposition is deterministic; the built layout is identical for
-/// any chunking regardless (see [`PcpmLayout::build_par_ext`]).
-const CHUNK_VERTS: usize = 4096;
+/// Build chunks per worker: slack for the claim loop to even out chunks
+/// with unequal edge counts. The chunk count — and with it the count
+/// matrix — scales with the worker count, not with the vertex count.
+const CHUNKS_PER_THREAD: usize = 8;
 
-/// Process-wide tally of layout constructions. Bumped once per build —
-/// at the head of the sequential builder and of the parallel builder's
-/// non-delegating path, so a parallel build that falls back to the
-/// sequential one still counts exactly once.
+/// Process-wide tally of layout constructions, bumped once at the head of
+/// the builder.
 static LAYOUT_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Total [`PcpmLayout`] builds since process start (monotonic). The serve
@@ -62,12 +63,6 @@ pub struct PcpmLayout {
     /// `include_intra_in_bins` (the GPOP-style mode that bins everything).
     pub intra_offsets: Vec<u64>,
     pub intra_dst: Vec<u32>,
-    /// Compressed messages of vertex `v`:
-    /// `msg_slot[msg_offsets[v]..msg_offsets[v+1]]` (parallel to
-    /// `msg_dst_part`).
-    pub msg_offsets: Vec<u64>,
-    pub msg_dst_part: Vec<u32>,
-    pub msg_slot: Vec<u64>,
     /// Slot ranges per destination partition (contiguous, ascending).
     pub part_slot_ranges: Vec<Range<u64>>,
     /// Destination vertices of slot `k`:
@@ -102,6 +97,80 @@ pub struct PngPair {
     pub len: u32,
 }
 
+/// The build's unit of parallel work, listed in vertex order: chunk `c`
+/// covers `verts[c]`, which never straddles a partition, and partition `p`
+/// owns chunks `part_chunks[p]..part_chunks[p + 1]`.
+struct ChunkPlan {
+    verts: Vec<Range<u32>>,
+    part_chunks: Vec<usize>,
+}
+
+/// Splits every partition's vertex range into pieces of at most
+/// `chunk_verts` vertices. Empty partitions (only partition 0 of the empty
+/// graph) own no chunk.
+fn chunk_plan(n: usize, vpp: usize, num_partitions: usize, chunk_verts: usize) -> ChunkPlan {
+    let vid = |v: usize| u32::try_from(v).expect("vertex id overflows u32");
+    let mut verts = Vec::new();
+    let mut part_chunks = Vec::with_capacity(num_partitions + 1);
+    for p in 0..num_partitions {
+        part_chunks.push(verts.len());
+        let hi = p.saturating_add(1).saturating_mul(vpp).min(n);
+        let mut lo = (p * vpp).min(n);
+        while lo < hi {
+            let end = lo.saturating_add(chunk_verts).min(hi);
+            verts.push(vid(lo)..vid(end));
+            lo = end;
+        }
+    }
+    part_chunks.push(verts.len());
+    ChunkPlan { verts, part_chunks }
+}
+
+/// One (chunk, destination partition) cell of the build matrix. The count
+/// pass stores the chunk's message count into the destination in `slot` and
+/// its inter-edge count in `dest`; the scans then turn the cell into the
+/// chunk's starting cursors for that destination: its first slot, its first
+/// `dest_verts` index and its first `png_src` index.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    slot: u64,
+    dest: u64,
+    src: u64,
+}
+
+/// Walks `v`'s sorted adjacency in layout order, calling `intra(t)` for an
+/// edge kept as plain adjacency and `inter(q, opens_msg, t)` for a binned
+/// edge into destination partition `q`; `opens_msg` marks the edge that
+/// opens a new message slot. Sorted neighbours make destination partitions
+/// monotone, so each partition is one contiguous run.
+#[inline(always)]
+fn walk_edges(
+    csr: &Csr,
+    v: u32,
+    vpp: usize,
+    include_intra_in_bins: bool,
+    compress_inter: bool,
+    mut intra: impl FnMut(u32),
+    mut inter: impl FnMut(usize, bool, u32),
+) {
+    let pv = v as usize / vpp;
+    let nbrs = csr.neighbors(v);
+    debug_assert!(nbrs.windows(2).all(|w| w[0] <= w[1]), "adjacency must be sorted");
+    let (mut run_part, mut run_end) = (0usize, 0usize);
+    for &t in nbrs {
+        let new_run = t as usize >= run_end;
+        if new_run {
+            run_part = t as usize / vpp;
+            run_end = (run_part + 1).saturating_mul(vpp);
+        }
+        if run_part == pv && !include_intra_in_bins {
+            intra(t);
+        } else {
+            inter(run_part, new_run || !compress_inter, t);
+        }
+    }
+}
+
 impl PcpmLayout {
     /// Builds the layout from an out-CSR.
     ///
@@ -114,9 +183,7 @@ impl PcpmLayout {
     /// [`Self::build`] with inter-edge compression switchable — the
     /// `ablation_compression` experiment disables it, giving every
     /// inter-edge its own single-destination message (Fig. 4 "before").
-    ///
-    /// Uses all available host parallelism; the result is bit-identical to
-    /// [`Self::build_seq_ext`] for any thread count.
+    /// Uses all available host parallelism.
     pub fn build_ext(
         csr: &Csr,
         verts_per_partition: usize,
@@ -132,203 +199,8 @@ impl PcpmLayout {
         )
     }
 
-    /// The reference single-threaded builder. [`Self::build_par_ext`] must
-    /// produce exactly this layout; the bit-equality tests compare against
-    /// it.
-    pub fn build_seq_ext(
-        csr: &Csr,
-        verts_per_partition: usize,
-        include_intra_in_bins: bool,
-        compress_inter: bool,
-    ) -> Self {
-        assert!(verts_per_partition >= 1);
-        // ordering: relaxed (statistics tally; see `layout_builds_total`).
-        LAYOUT_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let n = csr.num_vertices();
-        let num_partitions = n.div_ceil(verts_per_partition).max(1);
-        let part_of = |v: u32| v as usize / verts_per_partition;
-
-        // Pass 1: count intra edges per vertex, messages per vertex, and
-        // messages per destination partition. Neighbour lists are sorted, so
-        // each destination partition appears as one contiguous run.
-        let mut intra_offsets = vec![0u64; n + 1];
-        let mut msg_offsets = vec![0u64; n + 1];
-        let mut msgs_per_part = vec![0u64; num_partitions];
-        for v in 0..n as u32 {
-            let pv = part_of(v);
-            let mut last = usize::MAX;
-            let mut intra = 0u64;
-            let mut msgs = 0u64;
-            debug_assert!(
-                csr.neighbors(v).windows(2).all(|w| w[0] <= w[1]),
-                "adjacency must be sorted"
-            );
-            for &t in csr.neighbors(v) {
-                let pt = part_of(t);
-                if pt == pv && !include_intra_in_bins {
-                    intra += 1;
-                    continue;
-                }
-                // Sorted neighbours make destination partitions monotone, so
-                // each partition is one contiguous run.
-                if pt != last || !compress_inter {
-                    msgs += 1;
-                    msgs_per_part[pt] += 1;
-                    last = pt;
-                }
-            }
-            intra_offsets[v as usize + 1] = intra_offsets[v as usize] + intra;
-            msg_offsets[v as usize + 1] = msg_offsets[v as usize] + msgs;
-        }
-        let total_intra = intra_offsets[n];
-        let total_msgs = msg_offsets[n];
-
-        let mut part_slot_ranges = Vec::with_capacity(num_partitions);
-        let mut acc = 0u64;
-        for q in 0..num_partitions {
-            part_slot_ranges.push(acc..acc + msgs_per_part[q]);
-            acc += msgs_per_part[q];
-        }
-        debug_assert_eq!(acc, total_msgs);
-
-        // Pass 2: assign slots (per-destination cursors advance in source
-        // order) and record per-slot destination counts.
-        let mut intra_dst = vec![0u32; total_intra as usize];
-        let mut msg_dst_part = vec![0u32; total_msgs as usize];
-        let mut msg_slot = vec![0u64; total_msgs as usize];
-        let mut slot_dest_count = vec![0u64; total_msgs as usize];
-        let mut cursors: Vec<u64> = part_slot_ranges.iter().map(|r| r.start).collect();
-        let mut intra_cur = 0usize;
-        let mut msg_cur = 0usize;
-        for v in 0..n as u32 {
-            let pv = part_of(v);
-            let mut run_part = usize::MAX;
-            let mut run_slot = 0u64;
-            for &t in csr.neighbors(v) {
-                let pt = part_of(t);
-                if pt == pv && !include_intra_in_bins {
-                    intra_dst[intra_cur] = t;
-                    intra_cur += 1;
-                    continue;
-                }
-                if pt != run_part || !compress_inter {
-                    run_part = pt;
-                    run_slot = cursors[pt];
-                    cursors[pt] += 1;
-                    msg_dst_part[msg_cur] = pt as u32;
-                    msg_slot[msg_cur] = run_slot;
-                    msg_cur += 1;
-                }
-                slot_dest_count[run_slot as usize] += 1;
-            }
-        }
-        debug_assert_eq!(intra_cur as u64, total_intra);
-        debug_assert_eq!(msg_cur as u64, total_msgs);
-
-        // Destination lists in slot order.
-        let mut dest_offsets = vec![0u64; total_msgs as usize + 1];
-        for k in 0..total_msgs as usize {
-            dest_offsets[k + 1] = dest_offsets[k] + slot_dest_count[k];
-        }
-        let total_dests = dest_offsets[total_msgs as usize];
-        let mut dest_verts = vec![0u32; total_dests as usize];
-        // Pass 3: fill destination lists; reuse per-slot fill cursors.
-        let mut fill: Vec<u64> = dest_offsets[..total_msgs as usize].to_vec();
-        let mut msg_cur = 0usize;
-        for v in 0..n as u32 {
-            let pv = part_of(v);
-            let mut run_part = usize::MAX;
-            let mut run_slot = 0u64;
-            for &t in csr.neighbors(v) {
-                let pt = part_of(t);
-                if pt == pv && !include_intra_in_bins {
-                    continue;
-                }
-                if pt != run_part || !compress_inter {
-                    run_part = pt;
-                    run_slot = msg_slot[msg_cur];
-                    msg_cur += 1;
-                }
-                let f = &mut fill[run_slot as usize];
-                dest_verts[*f as usize] = t;
-                *f += 1;
-            }
-        }
-
-        // Pass 4: the PNG scatter view. Within one source partition, the
-        // slots destined to a given partition are contiguous and ascending
-        // (the per-destination cursor advances in source order), so grouping
-        // p's messages by destination yields one (slot range, source list)
-        // bin per destination partition.
-        let mut png_index = Vec::with_capacity(num_partitions);
-        let mut png_pairs: Vec<PngPair> = Vec::new();
-        let mut png_src = vec![0u32; total_msgs as usize];
-        let mut src_cur = 0u64;
-        let mut triples: Vec<(u32, u64, u32)> = Vec::new(); // (q, slot, v)
-        for p in 0..num_partitions {
-            let v_lo = (p * verts_per_partition).min(n);
-            let v_hi = ((p + 1) * verts_per_partition).min(n);
-            triples.clear();
-            for v in v_lo as u32..v_hi as u32 {
-                let lo = msg_offsets[v as usize] as usize;
-                let hi = msg_offsets[v as usize + 1] as usize;
-                for k in lo..hi {
-                    triples.push((msg_dst_part[k], msg_slot[k], v));
-                }
-            }
-            triples.sort_unstable();
-            let pairs_start = png_pairs.len() as u32;
-            let mut i = 0usize;
-            while i < triples.len() {
-                let q = triples[i].0;
-                let slot_start = triples[i].1;
-                let src_start = src_cur;
-                let mut len = 0u32;
-                while i < triples.len() && triples[i].0 == q {
-                    debug_assert_eq!(triples[i].1, slot_start + len as u64, "slots not contiguous");
-                    png_src[src_cur as usize] = triples[i].2;
-                    src_cur += 1;
-                    len += 1;
-                    i += 1;
-                }
-                png_pairs.push(PngPair { dst_part: q, slot_start, src_start, len });
-            }
-            png_index.push(pairs_start..png_pairs.len() as u32);
-        }
-        debug_assert_eq!(src_cur, total_msgs);
-
-        PcpmLayout {
-            verts_per_partition,
-            num_partitions,
-            num_vertices: n,
-            intra_offsets,
-            intra_dst,
-            msg_offsets,
-            msg_dst_part,
-            msg_slot,
-            part_slot_ranges,
-            dest_offsets,
-            dest_verts,
-            total_msgs,
-            include_intra_in_bins,
-            png_index,
-            png_pairs,
-            png_src,
-        }
-    }
-
-    /// Multi-threaded layout construction, bit-identical to
-    /// [`Self::build_seq_ext`] for every `build_threads` value.
-    ///
-    /// The sequential builder's only cross-vertex state is the per-destination
-    /// slot cursor, which advances in source-vertex order. Splitting the
-    /// vertex range into fixed chunks and exclusive-scanning the per-chunk ×
-    /// per-partition message counts reproduces the exact cursor value at
-    /// every chunk boundary, so each chunk can assign its slots — and fill
-    /// every downstream array — independently, writing structurally disjoint
-    /// ranges through [`SharedSlice`](crate::disjoint::SharedSlice). The
-    /// output therefore does not depend on the chunking or on thread
-    /// scheduling.
+    /// Builds the layout on `build_threads` workers. The result is identical
+    /// for every worker count.
     pub fn build_par_ext(
         csr: &Csr,
         verts_per_partition: usize,
@@ -336,21 +208,30 @@ impl PcpmLayout {
         compress_inter: bool,
         build_threads: usize,
     ) -> Self {
-        Self::build_par_chunked(
+        let threads = build_threads.max(1);
+        Self::build_chunked(
             csr,
             verts_per_partition,
             include_intra_in_bins,
             compress_inter,
-            build_threads,
-            CHUNK_VERTS,
+            threads,
+            csr.num_vertices().div_ceil(threads * CHUNKS_PER_THREAD),
         )
     }
 
-    /// [`Self::build_par_ext`] with an explicit chunk size. Exposed so the
-    /// bit-equality tests can force multi-chunk execution on small graphs;
-    /// production callers use the tuned [`CHUNK_VERTS`] default.
+    /// [`Self::build_par_ext`] with an explicit chunk size, so the equality
+    /// tests can force chunk boundaries that do not divide a partition.
+    ///
+    /// Two passes over the edges, no sort. The only cross-vertex state of a
+    /// sequential build is one slot cursor, one destination cursor and one
+    /// PNG-source cursor per destination partition, each advancing in
+    /// source-vertex order. The count pass tallies each chunk's messages and
+    /// inter-edges per destination; small sequential scans of that
+    /// (chunk × partition) matrix recover every cursor's value at every
+    /// chunk start — and the PNG bins with it — so the fill pass writes
+    /// each chunk's share of every array independently.
     #[doc(hidden)]
-    pub fn build_par_chunked(
+    pub fn build_chunked(
         csr: &Csr,
         verts_per_partition: usize,
         include_intra_in_bins: bool,
@@ -358,283 +239,164 @@ impl PcpmLayout {
         build_threads: usize,
         chunk_verts: usize,
     ) -> Self {
-        use crate::disjoint::SharedSlice;
-
-        let threads = build_threads.max(1);
-        let chunk_verts = chunk_verts.max(1);
-        let n = csr.num_vertices();
-        if threads == 1 || n == 0 {
-            return Self::build_seq_ext(
-                csr,
-                verts_per_partition,
-                include_intra_in_bins,
-                compress_inter,
-            );
-        }
         assert!(verts_per_partition >= 1);
         // ordering: relaxed (statistics tally; see `layout_builds_total`).
         LAYOUT_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let num_partitions = n.div_ceil(verts_per_partition).max(1);
-        let part_of = |v: u32| v as usize / verts_per_partition;
+        let vpp = verts_per_partition;
+        let threads = build_threads.max(1);
+        let n = csr.num_vertices();
+        let np = n.div_ceil(vpp).max(1);
+        let plan = chunk_plan(n, vpp, np, chunk_verts.max(1));
+        let num_chunks = plan.verts.len();
+        let (binned, compress) = (include_intra_in_bins, compress_inter);
 
-        let num_chunks = n.div_ceil(chunk_verts);
-        let chunk_range = |c: usize| (c * chunk_verts)..((c + 1) * chunk_verts).min(n);
+        // Count pass (parallel): per chunk, intra-edges in total and
+        // messages and inter-edges per destination partition.
+        let mut cells = vec![Cursor::default(); num_chunks * np];
+        let mut chunk_intra = vec![0u64; num_chunks];
+        {
+            let cells_s = SharedSlice::new(&mut cells);
+            let intra_s = SharedSlice::new(&mut chunk_intra);
+            run_indexed(num_chunks, threads, |c| {
+                let mut row = vec![Cursor::default(); np];
+                let mut intra = 0u64;
+                for v in plan.verts[c].clone() {
+                    let count_inter = |q: usize, opens_msg: bool, _| {
+                        row[q].slot += opens_msg as u64;
+                        row[q].dest += 1;
+                    };
+                    walk_edges(csr, v, vpp, binned, compress, |_| intra += 1, count_inter);
+                }
+                for (q, cell) in row.into_iter().enumerate() {
+                    // SAFETY: row `c` of the matrix is chunk `c`'s alone.
+                    unsafe { cells_s.write(c * np + q, cell) };
+                }
+                // SAFETY: element `c` is chunk `c`'s alone.
+                unsafe { intra_s.write(c, intra) };
+            });
+        }
 
-        // Pass 1 (parallel): per-vertex intra/message counts into the
-        // offset arrays' `v + 1` slots, and a chunks × partitions message
-        // count matrix.
+        // Sequential scans. Column totals give the slot and destination
+        // bases of every destination partition.
+        let mut slot_cur = vec![0u64; np];
+        let mut dest_cur = vec![0u64; np];
+        for row in cells.chunks_exact(np) {
+            for (q, cell) in row.iter().enumerate() {
+                slot_cur[q] += cell.slot;
+                dest_cur[q] += cell.dest;
+            }
+        }
+        let (mut total_msgs, mut total_dests) = (0u64, 0u64);
+        let mut part_slot_ranges = Vec::with_capacity(np);
+        for q in 0..np {
+            part_slot_ranges.push(total_msgs..total_msgs + slot_cur[q]);
+            (slot_cur[q], total_msgs) = (total_msgs, total_msgs + slot_cur[q]);
+            (dest_cur[q], total_dests) = (total_dests, total_dests + dest_cur[q]);
+        }
+        // Then, in (source partition, destination, chunk) order — the order
+        // of `png_src` — each cell becomes its chunk's starting cursors, and
+        // every non-empty (p, q) run of cells becomes one PNG bin.
+        let mut png_index = Vec::with_capacity(np);
+        let mut png_pairs = Vec::new();
+        let mut src_cur = 0u64;
+        let pair_bound = |len: usize| u32::try_from(len).expect("png_index bound overflows u32");
+        for p in 0..np {
+            let pairs_start = pair_bound(png_pairs.len());
+            let chunks = plan.part_chunks[p]..plan.part_chunks[p + 1];
+            for q in 0..np {
+                let (slot_start, src_start) = (slot_cur[q], src_cur);
+                for c in chunks.clone() {
+                    let cell = &mut cells[c * np + q];
+                    let (msgs, dests) = (cell.slot, cell.dest);
+                    *cell = Cursor { slot: slot_cur[q], dest: dest_cur[q], src: src_cur };
+                    slot_cur[q] += msgs;
+                    dest_cur[q] += dests;
+                    src_cur += msgs;
+                }
+                if src_cur > src_start {
+                    png_pairs.push(PngPair {
+                        dst_part: u32::try_from(q).expect("PngPair::dst_part overflows u32"),
+                        slot_start,
+                        src_start,
+                        len: u32::try_from(src_cur - src_start)
+                            .expect("PngPair::len overflows u32"),
+                    });
+                }
+            }
+            png_index.push(pairs_start..pair_bound(png_pairs.len()));
+        }
+        debug_assert_eq!(src_cur, total_msgs);
+        let mut total_intra = 0u64;
+        for x in chunk_intra.iter_mut() {
+            (*x, total_intra) = (total_intra, total_intra + *x);
+        }
+
+        // Fill pass (parallel): each chunk replays its edges from its
+        // cursors, writing the intra adjacency of its own vertices and, per
+        // message, the slot's destination offset, destination list and
+        // PNG source entry.
         let mut intra_offsets = vec![0u64; n + 1];
-        let mut msg_offsets = vec![0u64; n + 1];
-        let mut chunk_part_msgs = vec![0u64; num_chunks * num_partitions];
-        {
-            let intra_s = SharedSlice::new(&mut intra_offsets);
-            let msg_s = SharedSlice::new(&mut msg_offsets);
-            let counts_s = SharedSlice::new(&mut chunk_part_msgs);
-            run_indexed(num_chunks, threads, |c| {
-                let row = c * num_partitions;
-                for v in chunk_range(c) {
-                    let v = v as u32;
-                    let pv = part_of(v);
-                    let mut last = usize::MAX;
-                    let mut intra = 0u64;
-                    let mut msgs = 0u64;
-                    debug_assert!(
-                        csr.neighbors(v).windows(2).all(|w| w[0] <= w[1]),
-                        "adjacency must be sorted"
-                    );
-                    for &t in csr.neighbors(v) {
-                        let pt = part_of(t);
-                        if pt == pv && !include_intra_in_bins {
-                            intra += 1;
-                            continue;
-                        }
-                        if pt != last || !compress_inter {
-                            msgs += 1;
-                            // SAFETY: row `c` of the count matrix is this
-                            // chunk's alone.
-                            unsafe { counts_s.update(row + pt, |x| *x += 1) };
-                            last = pt;
-                        }
-                    }
-                    // SAFETY: `v + 1` slots of distinct chunks are disjoint.
-                    unsafe {
-                        intra_s.write(v as usize + 1, intra);
-                        msg_s.write(v as usize + 1, msgs);
-                    }
-                }
-            });
-        }
-        // Sequential scans: per-vertex counts → offsets; count-matrix columns
-        // → per-destination slot ranges plus each chunk's starting cursor
-        // (the sequential cursor state at that chunk's first vertex).
-        for v in 0..n {
-            intra_offsets[v + 1] += intra_offsets[v];
-            msg_offsets[v + 1] += msg_offsets[v];
-        }
-        let total_intra = intra_offsets[n];
-        let total_msgs = msg_offsets[n];
-        let mut msgs_per_part = vec![0u64; num_partitions];
-        for c in 0..num_chunks {
-            for q in 0..num_partitions {
-                msgs_per_part[q] += chunk_part_msgs[c * num_partitions + q];
-            }
-        }
-        let mut part_slot_ranges = Vec::with_capacity(num_partitions);
-        let mut acc = 0u64;
-        for q in 0..num_partitions {
-            part_slot_ranges.push(acc..acc + msgs_per_part[q]);
-            acc += msgs_per_part[q];
-        }
-        debug_assert_eq!(acc, total_msgs);
-        // Exclusive scan down each column, in place: entry (c, q) becomes the
-        // cursor for destination q at chunk c's start.
-        let mut col_cursor = msgs_per_part; // reuse; overwritten below
-        for (q, r) in part_slot_ranges.iter().enumerate() {
-            col_cursor[q] = r.start;
-        }
-        for c in 0..num_chunks {
-            for q in 0..num_partitions {
-                let cell = &mut chunk_part_msgs[c * num_partitions + q];
-                let count = *cell;
-                *cell = col_cursor[q];
-                col_cursor[q] += count;
-            }
-        }
-        let chunk_cursors = chunk_part_msgs;
-
-        // Pass 2 (parallel): slot assignment and per-slot destination
-        // counts. Each chunk's writes are confined to its own vertex range
-        // (intra_dst, msg_dst_part, msg_slot) and its own slot blocks
-        // (slot_dest_count).
         let mut intra_dst = vec![0u32; total_intra as usize];
-        let mut msg_dst_part = vec![0u32; total_msgs as usize];
-        let mut msg_slot = vec![0u64; total_msgs as usize];
-        let mut slot_dest_count = vec![0u64; total_msgs as usize];
-        {
-            let intra_dst_s = SharedSlice::new(&mut intra_dst);
-            let msg_dst_part_s = SharedSlice::new(&mut msg_dst_part);
-            let msg_slot_s = SharedSlice::new(&mut msg_slot);
-            let sdc_s = SharedSlice::new(&mut slot_dest_count);
-            let intra_offsets = &intra_offsets;
-            let msg_offsets = &msg_offsets;
-            let chunk_cursors = &chunk_cursors;
-            run_indexed(num_chunks, threads, |c| {
-                let vr = chunk_range(c);
-                let mut cursors =
-                    chunk_cursors[c * num_partitions..(c + 1) * num_partitions].to_vec();
-                let mut intra_cur = intra_offsets[vr.start] as usize;
-                let mut msg_cur = msg_offsets[vr.start] as usize;
-                for v in vr {
-                    let v = v as u32;
-                    let pv = part_of(v);
-                    let mut run_part = usize::MAX;
-                    let mut run_slot = 0u64;
-                    for &t in csr.neighbors(v) {
-                        let pt = part_of(t);
-                        if pt == pv && !include_intra_in_bins {
-                            // SAFETY: intra_cur stays inside this chunk's
-                            // intra_offsets range.
-                            unsafe { intra_dst_s.write(intra_cur, t) };
-                            intra_cur += 1;
-                            continue;
-                        }
-                        if pt != run_part || !compress_inter {
-                            run_part = pt;
-                            run_slot = cursors[pt];
-                            cursors[pt] += 1;
-                            // SAFETY: msg_cur stays inside this chunk's
-                            // msg_offsets range.
-                            unsafe {
-                                msg_dst_part_s.write(msg_cur, pt as u32);
-                                msg_slot_s.write(msg_cur, run_slot);
-                            }
-                            msg_cur += 1;
-                        }
-                        // SAFETY: run_slot came from this chunk's cursor
-                        // block — no other chunk touches it.
-                        unsafe { sdc_s.update(run_slot as usize, |x| *x += 1) };
-                    }
-                }
-                debug_assert_eq!(intra_cur as u64, intra_offsets[chunk_range(c).end]);
-                debug_assert_eq!(msg_cur as u64, msg_offsets[chunk_range(c).end]);
-            });
-        }
-
         let mut dest_offsets = vec![0u64; total_msgs as usize + 1];
-        for k in 0..total_msgs as usize {
-            dest_offsets[k + 1] = dest_offsets[k] + slot_dest_count[k];
-        }
-        let total_dests = dest_offsets[total_msgs as usize];
-
-        // Pass 3 (parallel): destination lists. A slot's whole destination
-        // run comes from a single (vertex, partition) neighbour run — sorted
-        // adjacency makes partition runs contiguous — so a run-local fill
-        // cursor suffices and every dest_verts index is written by exactly
-        // one chunk.
+        dest_offsets[total_msgs as usize] = total_dests;
         let mut dest_verts = vec![0u32; total_dests as usize];
-        {
-            let dest_verts_s = SharedSlice::new(&mut dest_verts);
-            let msg_offsets = &msg_offsets;
-            let msg_slot = &msg_slot;
-            let dest_offsets = &dest_offsets;
-            run_indexed(num_chunks, threads, |c| {
-                let vr = chunk_range(c);
-                let mut msg_cur = msg_offsets[vr.start] as usize;
-                for v in vr {
-                    let v = v as u32;
-                    let pv = part_of(v);
-                    let mut run_part = usize::MAX;
-                    let mut fill = 0u64;
-                    for &t in csr.neighbors(v) {
-                        let pt = part_of(t);
-                        if pt == pv && !include_intra_in_bins {
-                            continue;
-                        }
-                        if pt != run_part || !compress_inter {
-                            run_part = pt;
-                            fill = dest_offsets[msg_slot[msg_cur] as usize];
-                            msg_cur += 1;
-                        }
-                        // SAFETY: this slot's dest range belongs to this
-                        // run alone.
-                        unsafe { dest_verts_s.write(fill as usize, t) };
-                        fill += 1;
-                    }
-                }
-            });
-        }
-
-        // Pass 4 (parallel over source partitions): the PNG scatter view.
-        // Partition p's messages occupy png_src[msg_offsets[v_lo(p)]..
-        // msg_offsets[v_hi(p))] — the sequential writer's src_cur equals
-        // msg_offsets[v_lo] when it reaches p — so partitions write disjoint
-        // png_src ranges; the per-partition pair lists are concatenated
-        // sequentially afterwards.
         let mut png_src = vec![0u32; total_msgs as usize];
-        let mut per_part_pairs: Vec<Vec<PngPair>> = vec![Vec::new(); num_partitions];
         {
+            let intra_offsets_s = SharedSlice::new(&mut intra_offsets);
+            let intra_dst_s = SharedSlice::new(&mut intra_dst);
+            let dest_offsets_s = SharedSlice::new(&mut dest_offsets);
+            let dest_verts_s = SharedSlice::new(&mut dest_verts);
             let png_src_s = SharedSlice::new(&mut png_src);
-            let pairs_s = SharedSlice::new(&mut per_part_pairs);
-            let msg_offsets = &msg_offsets;
-            let msg_dst_part = &msg_dst_part;
-            let msg_slot = &msg_slot;
-            run_indexed(num_partitions, threads, |p| {
-                let v_lo = (p * verts_per_partition).min(n);
-                let v_hi = ((p + 1) * verts_per_partition).min(n);
-                let mut triples: Vec<(u32, u64, u32)> = Vec::new(); // (q, slot, v)
-                for v in v_lo as u32..v_hi as u32 {
-                    let lo = msg_offsets[v as usize] as usize;
-                    let hi = msg_offsets[v as usize + 1] as usize;
-                    for k in lo..hi {
-                        triples.push((msg_dst_part[k], msg_slot[k], v));
-                    }
+            let (cells, chunk_intra) = (&cells, &chunk_intra);
+            run_indexed(num_chunks, threads, |c| {
+                let mut cur = cells[c * np..(c + 1) * np].to_vec();
+                let mut intra_cur = chunk_intra[c];
+                for v in plan.verts[c].clone() {
+                    walk_edges(
+                        csr,
+                        v,
+                        vpp,
+                        binned,
+                        compress,
+                        |t| {
+                            // SAFETY: the scans reserved intra_dst
+                            // [chunk_intra[c]..chunk_intra[c + 1]) for this
+                            // chunk, and it holds exactly its intra-edges.
+                            unsafe { intra_dst_s.write(intra_cur as usize, t) };
+                            intra_cur += 1;
+                        },
+                        |q, opens_msg, t| {
+                            let k = &mut cur[q];
+                            if opens_msg {
+                                // SAFETY: this chunk's slots and PNG source
+                                // entries for `q` are the `msgs` counted in
+                                // its cell, starting at the cell's cursors —
+                                // disjoint from every other chunk's.
+                                unsafe {
+                                    dest_offsets_s.write(k.slot as usize, k.dest);
+                                    png_src_s.write(k.src as usize, v);
+                                }
+                                k.slot += 1;
+                                k.src += 1;
+                            }
+                            // SAFETY: likewise for the chunk's `dests`
+                            // destination entries into `q`.
+                            unsafe { dest_verts_s.write(k.dest as usize, t) };
+                            k.dest += 1;
+                        },
+                    );
+                    // SAFETY: `v + 1` lies in this chunk's vertex range.
+                    unsafe { intra_offsets_s.write(v as usize + 1, intra_cur) };
                 }
-                triples.sort_unstable();
-                let mut pairs = Vec::new();
-                let mut src_cur = msg_offsets[v_lo];
-                let mut i = 0usize;
-                while i < triples.len() {
-                    let q = triples[i].0;
-                    let slot_start = triples[i].1;
-                    let src_start = src_cur;
-                    let mut len = 0u32;
-                    while i < triples.len() && triples[i].0 == q {
-                        debug_assert_eq!(
-                            triples[i].1,
-                            slot_start + len as u64,
-                            "slots not contiguous"
-                        );
-                        // SAFETY: src_cur stays inside partition p's
-                        // msg_offsets range.
-                        unsafe { png_src_s.write(src_cur as usize, triples[i].2) };
-                        src_cur += 1;
-                        len += 1;
-                        i += 1;
-                    }
-                    pairs.push(PngPair { dst_part: q, slot_start, src_start, len });
-                }
-                debug_assert_eq!(src_cur, msg_offsets[v_hi]);
-                // SAFETY: element p is this partition's alone.
-                unsafe { pairs_s.write(p, pairs) };
             });
-        }
-        let mut png_index = Vec::with_capacity(num_partitions);
-        let mut png_pairs: Vec<PngPair> = Vec::new();
-        for pairs in per_part_pairs {
-            let start = png_pairs.len() as u32;
-            png_pairs.extend_from_slice(&pairs);
-            png_index.push(start..png_pairs.len() as u32);
         }
 
         PcpmLayout {
             verts_per_partition,
-            num_partitions,
+            num_partitions: np,
             num_vertices: n,
             intra_offsets,
             intra_dst,
-            msg_offsets,
-            msg_dst_part,
-            msg_slot,
             part_slot_ranges,
             dest_offsets,
             dest_verts,
@@ -680,12 +442,16 @@ impl PcpmLayout {
         &self.intra_dst[lo..hi]
     }
 
-    /// Message slots of a vertex, parallel `(dst_part, slot)` views.
-    #[inline]
-    pub fn msgs_of(&self, v: u32) -> (&[u32], &[u64]) {
-        let lo = self.msg_offsets[v as usize] as usize;
-        let hi = self.msg_offsets[v as usize + 1] as usize;
-        (&self.msg_dst_part[lo..hi], &self.msg_slot[lo..hi])
+    /// Message prefix by source partition (`num_partitions + 1` entries):
+    /// partition `p`'s messages are `png_src[o[p]..o[p + 1]]`.
+    pub fn png_src_offsets(&self) -> Vec<u64> {
+        let mut out = Vec::with_capacity(self.num_partitions + 1);
+        out.push(0u64);
+        for p in 0..self.num_partitions {
+            let msgs: u64 = self.png_of(p).iter().map(|pair| pair.len as u64).sum();
+            out.push(out[p] + msgs);
+        }
+        out
     }
 
     /// Destination vertices consuming slot `k`.
@@ -717,6 +483,21 @@ mod tests {
     use super::*;
     use hipa_graph::{Csr, EdgeList};
 
+    /// Vertex `v`'s messages read off the PNG view, as parallel
+    /// `(dst_part, slot)` lists in destination order.
+    fn msgs_of(l: &PcpmLayout, v: u32) -> (Vec<u32>, Vec<u64>) {
+        let (mut parts, mut slots) = (Vec::new(), Vec::new());
+        for pair in l.png_of(l.partition_of(v)) {
+            for (k, &src) in l.png_sources(pair).iter().enumerate() {
+                if src == v {
+                    parts.push(pair.dst_part);
+                    slots.push(pair.slot_start + k as u64);
+                }
+            }
+        }
+        (parts, slots)
+    }
+
     /// Fig. 4's example: v1 has intra edge to v2 and two inter-edges to
     /// v6, v7 in the next partition — compressed into one message.
     #[test]
@@ -726,7 +507,7 @@ mod tests {
         let csr = Csr::from_edge_list(&el);
         let l = PcpmLayout::build(&csr, 4, false);
         assert_eq!(l.intra_of(1), &[2]);
-        let (parts, slots) = l.msgs_of(1);
+        let (parts, slots) = msgs_of(&l, 1);
         assert_eq!(parts, &[1]);
         assert_eq!(l.dests_of(slots[0]), &[6, 7]);
         assert_eq!(l.total_msgs, 1);
@@ -744,15 +525,15 @@ mod tests {
         // Partition 2's inbox: messages from v0, v1, v2 in source order.
         let r = l.part_slot_ranges[2].clone();
         assert_eq!(r.end - r.start, 3);
-        let (_, s0) = l.msgs_of(0);
-        let (_, s1) = l.msgs_of(1);
-        let (_, s2) = l.msgs_of(2);
+        let (_, s0) = msgs_of(&l, 0);
+        let (_, s1) = msgs_of(&l, 1);
+        let (_, s2) = msgs_of(&l, 2);
         assert_eq!(s0, &[r.start]);
         assert_eq!(s1, &[r.start + 1]);
         assert_eq!(s2, &[r.start + 2]);
         assert_eq!(l.dests_of(s0[0]), &[4, 5]);
         // Partition 0's inbox holds v3's message.
-        let (_, s3) = l.msgs_of(3);
+        let (_, s3) = msgs_of(&l, 3);
         assert_eq!(l.part_slot_ranges[0].clone().count(), 1);
         assert_eq!(l.dests_of(s3[0]), &[0]);
     }
@@ -806,7 +587,7 @@ mod tests {
         for binned in [false, true] {
             let l = PcpmLayout::build(g.out_csr(), 64, binned);
             // Reconstruct slot -> source vertex from the PNG view and check
-            // it against the per-vertex message view.
+            // it against a replay of the per-destination slot cursors.
             let mut slot_src = vec![u32::MAX; l.total_msgs as usize];
             for p in 0..l.num_partitions {
                 for pair in l.png_of(p) {
@@ -821,11 +602,17 @@ mod tests {
                     }
                 }
             }
+            let mut cursors: Vec<u64> = l.part_slot_ranges.iter().map(|r| r.start).collect();
             for v in 0..l.num_vertices as u32 {
-                let (parts, slots) = l.msgs_of(v);
-                for (q, s) in parts.iter().zip(slots) {
-                    assert_eq!(slot_src[*s as usize], v);
-                    let _ = q;
+                let mut last = usize::MAX;
+                for &t in g.out_csr().neighbors(v) {
+                    let q = l.partition_of(t);
+                    if (q == l.partition_of(v) && !binned) || q == last {
+                        continue;
+                    }
+                    last = q;
+                    assert_eq!(slot_src[cursors[q] as usize], v);
+                    cursors[q] += 1;
                 }
             }
             assert!(!slot_src.contains(&u32::MAX), "uncovered slot");
@@ -843,5 +630,19 @@ mod tests {
         }
         assert_eq!(expect, l.total_msgs);
         assert_eq!(*l.dest_offsets.last().unwrap() as usize, l.dest_verts.len());
+    }
+
+    #[test]
+    fn png_src_offsets_prefix_source_partitions() {
+        let g = hipa_graph::datasets::small_test_graph(13);
+        let l = PcpmLayout::build(g.out_csr(), 64, false);
+        let o = l.png_src_offsets();
+        assert_eq!(o.len(), l.num_partitions + 1);
+        assert_eq!(o[l.num_partitions], l.total_msgs);
+        for p in 0..l.num_partitions {
+            for pair in l.png_of(p) {
+                assert!(o[p] <= pair.src_start && pair.src_start + pair.len as u64 <= o[p + 1]);
+            }
+        }
     }
 }

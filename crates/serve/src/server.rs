@@ -16,7 +16,7 @@ use crate::stats::ServeStats;
 use hipa_algos::{
     pagerank_delta, teleport_from_seeds, PersonalizedConfig, PprSolver, PrDeltaConfig,
 };
-use hipa_core::PcpmPrepared;
+use hipa_core::{top_k, PcpmPrepared};
 use hipa_graph::{DiGraph, EdgeList};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -154,17 +154,6 @@ pub fn edge_list_of(g: &DiGraph) -> EdgeList {
         edges.push(s, d);
     }
     edges
-}
-
-/// Indices of the `k` highest-ranked vertices, descending, ties by index —
-/// same contract as the facade crate's `top_k`.
-fn top_k(ranks: &[f32], k: usize) -> Vec<(u32, f32)> {
-    let mut idx: Vec<u32> = (0..ranks.len() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        ranks[b as usize].partial_cmp(&ranks[a as usize]).unwrap().then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx.into_iter().map(|v| (v, ranks[v as usize])).collect()
 }
 
 /// Everything the scheduler owns for one graph epoch.

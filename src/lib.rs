@@ -75,14 +75,7 @@ pub fn pagerank(g: &DiGraph, threads: usize) -> Vec<f32> {
 }
 
 /// Convenience: indices of the `k` highest-ranked vertices, descending.
-pub fn top_k(ranks: &[f32], k: usize) -> Vec<(u32, f32)> {
-    let mut idx: Vec<u32> = (0..ranks.len() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        ranks[b as usize].partial_cmp(&ranks[a as usize]).unwrap().then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx.into_iter().map(|v| (v, ranks[v as usize])).collect()
-}
+pub use hipa_core::top_k;
 
 #[cfg(test)]
 mod tests {

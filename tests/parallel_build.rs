@@ -1,16 +1,203 @@
-//! The parallel PCPM layout builder must be *bit-identical* to the
-//! sequential reference for every graph shape, partition size, binning mode,
-//! compression mode, thread count, and chunk decomposition. `PcpmLayout`
-//! derives `PartialEq` over every array, so one `assert_eq!` covers the
-//! whole structure.
+//! The PCPM layout builder must produce exactly the layout of the classic
+//! four-pass sequential builder for every graph shape, partition size,
+//! binning mode, compression mode, worker count and chunk decomposition.
+//! That builder is kept below as the test oracle: it counts, assigns slots,
+//! fills destination lists, then sorts each source partition's
+//! `(dst_part, slot, src)` triples into the PNG view. Its per-vertex
+//! message arrays are internal to it. `PcpmLayout` derives
+//! `PartialEq` over every array, so one `assert_eq!` covers the whole
+//! structure.
 
+use hipa::core::pcpm::PngPair;
 use hipa::core::PcpmLayout;
-use hipa::graph::DiGraph;
+use hipa::graph::{Csr, DiGraph, EdgeList};
 use proptest::prelude::*;
+
+/// The sequential four-pass reference builder.
+fn build_seq_oracle(
+    csr: &Csr,
+    verts_per_partition: usize,
+    include_intra_in_bins: bool,
+    compress_inter: bool,
+) -> PcpmLayout {
+    assert!(verts_per_partition >= 1);
+    let n = csr.num_vertices();
+    let num_partitions = n.div_ceil(verts_per_partition).max(1);
+    let part_of = |v: u32| v as usize / verts_per_partition;
+
+    // Pass 1: count intra edges per vertex, messages per vertex, and
+    // messages per destination partition. Neighbour lists are sorted, so
+    // each destination partition appears as one contiguous run.
+    let mut intra_offsets = vec![0u64; n + 1];
+    let mut msg_offsets = vec![0u64; n + 1];
+    let mut msgs_per_part = vec![0u64; num_partitions];
+    for v in 0..n as u32 {
+        let pv = part_of(v);
+        let mut last = usize::MAX;
+        let mut intra = 0u64;
+        let mut msgs = 0u64;
+        debug_assert!(
+            csr.neighbors(v).windows(2).all(|w| w[0] <= w[1]),
+            "adjacency must be sorted"
+        );
+        for &t in csr.neighbors(v) {
+            let pt = part_of(t);
+            if pt == pv && !include_intra_in_bins {
+                intra += 1;
+                continue;
+            }
+            // Sorted neighbours make destination partitions monotone, so
+            // each partition is one contiguous run.
+            if pt != last || !compress_inter {
+                msgs += 1;
+                msgs_per_part[pt] += 1;
+                last = pt;
+            }
+        }
+        intra_offsets[v as usize + 1] = intra_offsets[v as usize] + intra;
+        msg_offsets[v as usize + 1] = msg_offsets[v as usize] + msgs;
+    }
+    let total_intra = intra_offsets[n];
+    let total_msgs = msg_offsets[n];
+
+    let mut part_slot_ranges = Vec::with_capacity(num_partitions);
+    let mut acc = 0u64;
+    for q in 0..num_partitions {
+        part_slot_ranges.push(acc..acc + msgs_per_part[q]);
+        acc += msgs_per_part[q];
+    }
+    debug_assert_eq!(acc, total_msgs);
+
+    // Pass 2: assign slots (per-destination cursors advance in source
+    // order) and record per-slot destination counts.
+    let mut intra_dst = vec![0u32; total_intra as usize];
+    let mut msg_dst_part = vec![0u32; total_msgs as usize];
+    let mut msg_slot = vec![0u64; total_msgs as usize];
+    let mut slot_dest_count = vec![0u64; total_msgs as usize];
+    let mut cursors: Vec<u64> = part_slot_ranges.iter().map(|r| r.start).collect();
+    let mut intra_cur = 0usize;
+    let mut msg_cur = 0usize;
+    for v in 0..n as u32 {
+        let pv = part_of(v);
+        let mut run_part = usize::MAX;
+        let mut run_slot = 0u64;
+        for &t in csr.neighbors(v) {
+            let pt = part_of(t);
+            if pt == pv && !include_intra_in_bins {
+                intra_dst[intra_cur] = t;
+                intra_cur += 1;
+                continue;
+            }
+            if pt != run_part || !compress_inter {
+                run_part = pt;
+                run_slot = cursors[pt];
+                cursors[pt] += 1;
+                msg_dst_part[msg_cur] = pt as u32;
+                msg_slot[msg_cur] = run_slot;
+                msg_cur += 1;
+            }
+            slot_dest_count[run_slot as usize] += 1;
+        }
+    }
+    debug_assert_eq!(intra_cur as u64, total_intra);
+    debug_assert_eq!(msg_cur as u64, total_msgs);
+
+    // Destination lists in slot order.
+    let mut dest_offsets = vec![0u64; total_msgs as usize + 1];
+    for k in 0..total_msgs as usize {
+        dest_offsets[k + 1] = dest_offsets[k] + slot_dest_count[k];
+    }
+    let total_dests = dest_offsets[total_msgs as usize];
+    let mut dest_verts = vec![0u32; total_dests as usize];
+    // Pass 3: fill destination lists; reuse per-slot fill cursors.
+    let mut fill: Vec<u64> = dest_offsets[..total_msgs as usize].to_vec();
+    let mut msg_cur = 0usize;
+    for v in 0..n as u32 {
+        let pv = part_of(v);
+        let mut run_part = usize::MAX;
+        let mut run_slot = 0u64;
+        for &t in csr.neighbors(v) {
+            let pt = part_of(t);
+            if pt == pv && !include_intra_in_bins {
+                continue;
+            }
+            if pt != run_part || !compress_inter {
+                run_part = pt;
+                run_slot = msg_slot[msg_cur];
+                msg_cur += 1;
+            }
+            let f = &mut fill[run_slot as usize];
+            dest_verts[*f as usize] = t;
+            *f += 1;
+        }
+    }
+
+    // Pass 4: the PNG scatter view. Within one source partition, the
+    // slots destined to a given partition are contiguous and ascending
+    // (the per-destination cursor advances in source order), so grouping
+    // p's messages by destination yields one (slot range, source list)
+    // bin per destination partition.
+    let mut png_index = Vec::with_capacity(num_partitions);
+    let mut png_pairs: Vec<PngPair> = Vec::new();
+    let mut png_src = vec![0u32; total_msgs as usize];
+    let mut src_cur = 0u64;
+    let mut triples: Vec<(u32, u64, u32)> = Vec::new(); // (q, slot, v)
+    for p in 0..num_partitions {
+        let v_lo = (p * verts_per_partition).min(n);
+        let v_hi = ((p + 1) * verts_per_partition).min(n);
+        triples.clear();
+        for v in v_lo as u32..v_hi as u32 {
+            let lo = msg_offsets[v as usize] as usize;
+            let hi = msg_offsets[v as usize + 1] as usize;
+            for k in lo..hi {
+                triples.push((msg_dst_part[k], msg_slot[k], v));
+            }
+        }
+        triples.sort_unstable();
+        let pairs_start = png_pairs.len() as u32;
+        let mut i = 0usize;
+        while i < triples.len() {
+            let q = triples[i].0;
+            let slot_start = triples[i].1;
+            let src_start = src_cur;
+            let mut len = 0u32;
+            while i < triples.len() && triples[i].0 == q {
+                debug_assert_eq!(triples[i].1, slot_start + len as u64, "slots not contiguous");
+                png_src[src_cur as usize] = triples[i].2;
+                src_cur += 1;
+                len += 1;
+                i += 1;
+            }
+            png_pairs.push(PngPair { dst_part: q, slot_start, src_start, len });
+        }
+        png_index.push(pairs_start..png_pairs.len() as u32);
+    }
+    debug_assert_eq!(src_cur, total_msgs);
+
+    PcpmLayout {
+        verts_per_partition,
+        num_partitions,
+        num_vertices: n,
+        intra_offsets,
+        intra_dst,
+        part_slot_ranges,
+        dest_offsets,
+        dest_verts,
+        total_msgs,
+        include_intra_in_bins,
+        png_index,
+        png_pairs,
+        png_src,
+    }
+}
 
 fn graphs() -> Vec<(&'static str, DiGraph)> {
     use hipa::graph::gen::*;
+    let hub: Vec<_> = (1..200u32).flat_map(|v| [(0, v).into(), (v, 0).into()]).collect();
     vec![
+        ("empty", DiGraph::from_edge_list(&EdgeList::new(0, Vec::new()))),
+        ("all-dangling", DiGraph::from_edge_list(&EdgeList::new(90, Vec::new()))),
+        ("single-hub", DiGraph::from_edge_list(&EdgeList::new(200, hub))),
         ("cycle", DiGraph::from_edge_list(&cycle(64))),
         ("star", DiGraph::from_edge_list(&star(40))),
         ("path-dangling", DiGraph::from_edge_list(&path(50))),
@@ -37,23 +224,26 @@ fn graphs() -> Vec<(&'static str, DiGraph)> {
 fn parallel_layout_is_bit_identical_to_sequential() {
     for (gname, g) in graphs() {
         let csr = g.out_csr();
-        for vpp in [1usize, 7, 16, 64, 300] {
+        // 5000 exceeds every corpus graph's vertex count: one partition.
+        for vpp in [1usize, 7, 16, 64, 300, 5000] {
             for binned in [false, true] {
                 for compress in [true, false] {
-                    let seq = PcpmLayout::build_seq_ext(csr, vpp, binned, compress);
-                    for threads in [2usize, 3, 4, 8] {
-                        // Small chunks force genuine multi-chunk execution
-                        // on these test-sized graphs.
-                        for chunk in [5usize, 64, 4096] {
-                            let par = PcpmLayout::build_par_chunked(
+                    let seq = build_seq_oracle(csr, vpp, binned, compress);
+                    for threads in [1usize, 2, 3, 4] {
+                        // Chunk sizes that do not divide `vpp` put chunk
+                        // boundaries inside partitions.
+                        for chunk in [3usize, 5, 13, 4096] {
+                            let got = PcpmLayout::build_chunked(
                                 csr, vpp, binned, compress, threads, chunk,
                             );
                             assert_eq!(
-                                par, seq,
+                                got, seq,
                                 "{gname} vpp={vpp} binned={binned} compress={compress} \
                                  threads={threads} chunk={chunk}"
                             );
                         }
+                        let got = PcpmLayout::build_par_ext(csr, vpp, binned, compress, threads);
+                        assert_eq!(got, seq, "{gname} vpp={vpp} threads={threads} default chunks");
                     }
                     // The default entry points agree too.
                     assert_eq!(PcpmLayout::build_ext(csr, vpp, binned, compress), seq);
@@ -65,8 +255,7 @@ fn parallel_layout_is_bit_identical_to_sequential() {
 
 #[test]
 fn parallel_layout_on_larger_graph_default_chunking() {
-    // Big enough that the default CHUNK_VERTS decomposition produces
-    // several chunks per pass.
+    // Big enough that the default chunk plan splits every partition.
     use hipa::graph::gen::{zipf_graph, ZipfParams};
     let g = DiGraph::from_edge_list(&zipf_graph(
         &ZipfParams {
@@ -80,8 +269,8 @@ fn parallel_layout_on_larger_graph_default_chunking() {
     ));
     let csr = g.out_csr();
     for vpp in [64usize, 1024] {
-        let seq = PcpmLayout::build_seq_ext(csr, vpp, false, true);
-        for threads in [2usize, 4] {
+        let seq = build_seq_oracle(csr, vpp, false, true);
+        for threads in [1usize, 2, 4] {
             let par = PcpmLayout::build_par_ext(csr, vpp, false, true, threads);
             assert_eq!(par, seq, "vpp={vpp} threads={threads}");
         }
@@ -127,17 +316,17 @@ proptest! {
     fn parallel_layout_matches_sequential_on_random_csrs(
         n_edges in edges_strategy(),
         vpp in 1usize..40,
-        threads in 2usize..6,
+        threads in 1usize..6,
         chunk in 1usize..50,
         binned in any::<bool>(),
         compress in any::<bool>(),
     ) {
         let (n, edges) = n_edges;
-        let el = hipa::graph::EdgeList::new(n, edges.into_iter().map(Into::into).collect());
+        let el = EdgeList::new(n, edges.into_iter().map(Into::into).collect());
         let g = DiGraph::from_edge_list(&el);
         let csr = g.out_csr();
-        let seq = PcpmLayout::build_seq_ext(csr, vpp, binned, compress);
-        let par = PcpmLayout::build_par_chunked(csr, vpp, binned, compress, threads, chunk);
+        let seq = build_seq_oracle(csr, vpp, binned, compress);
+        let par = PcpmLayout::build_chunked(csr, vpp, binned, compress, threads, chunk);
         prop_assert_eq!(par, seq);
     }
 }
