@@ -9,7 +9,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bfs;
-pub mod cc;
 pub mod ppr;
 pub mod prdelta;
 pub mod spmv;
@@ -17,7 +16,6 @@ pub mod spmv_sim;
 pub mod wspmv;
 
 pub use bfs::{bfs_levels, bfs_partition_centric};
-pub use cc::{label_propagation, wcc_by_propagation, LabelPropagation};
 pub use ppr::{
     personalized_from_seed, personalized_pagerank, teleport_from_seeds, PersonalizedConfig,
     PersonalizedResult, PprSolver,

@@ -23,6 +23,7 @@
 //! per slice lifetime.
 
 use hipa_core::disjoint::SharedSlice;
+use hipa_core::pcpm::run_entries;
 use hipa_core::PcpmPrepared;
 use hipa_graph::DiGraph;
 use std::ops::Range;
@@ -132,17 +133,14 @@ impl SpmvWorkspace {
             let vals_s = SharedSlice::new(&mut self.vals);
             let scatter_part = |my: Range<usize>| {
                 for p in my {
-                    let vr = layout.partition_vertices(p);
-                    for v in vr.start as usize..vr.end as usize {
-                        for &dst in layout.intra_of(v as u32) {
-                            for b in 0..k {
-                                if active[b] {
-                                    // SAFETY: intra destinations stay in
-                                    // this job's own partitions.
-                                    unsafe {
-                                        y_s.update(b * n + dst as usize, |a| *a += xs[b * n + v])
-                                    };
-                                }
+                    let (stream, srcs) = layout.intra_runs(p);
+                    for (i, dst) in run_entries(stream) {
+                        let v = srcs[i] as usize;
+                        for b in 0..k {
+                            if active[b] {
+                                // SAFETY: intra destinations stay in this
+                                // job's own partitions.
+                                unsafe { y_s.update(b * n + dst, |a| *a += xs[b * n + v]) };
                             }
                         }
                     }
@@ -185,19 +183,16 @@ impl SpmvWorkspace {
             let vals: &[f32] = &self.vals;
             let gather_part = |my: Range<usize>| {
                 for q in my {
-                    for slot in layout.part_slot_ranges[q].clone() {
-                        let base = slot as usize;
-                        for &dst in layout.dests_of(slot) {
-                            for b in 0..k {
-                                if active[b] {
-                                    // SAFETY: destinations lie in q, owned
-                                    // by this job alone.
-                                    unsafe {
-                                        y_s.update(b * n + dst as usize, |a| {
-                                            *a += vals[b * tm + base]
-                                        })
-                                    };
-                                }
+                    // Run `i` of q's inbox is slot `base + i`.
+                    let base = layout.part_slot_ranges[q].start as usize;
+                    for (i, dst) in run_entries(layout.inbox(q)) {
+                        for b in 0..k {
+                            if active[b] {
+                                // SAFETY: destinations lie in q, owned by
+                                // this job alone.
+                                unsafe {
+                                    y_s.update(b * n + dst, |a| *a += vals[b * tm + base + i])
+                                };
                             }
                         }
                     }

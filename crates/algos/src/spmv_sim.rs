@@ -12,7 +12,8 @@
 //! The `ext_spmv` bench binary reports the speedup and remote-traffic
 //! reduction, mirroring the shape of the PageRank results.
 
-use hipa_core::hipa::placement::{blocked_by_index, vertex_ends};
+use hipa_core::hipa::placement::{blocked_by_index, part_ends, vertex_ends};
+use hipa_core::pcpm::{run_vertex, runs};
 use hipa_core::PcpmLayout;
 use hipa_graph::{DiGraph, VERTEX_BYTES};
 use hipa_numasim::{PhaseBalance, Placement, SimMachine, SimReport, ThreadPlacement};
@@ -64,7 +65,7 @@ pub fn spmv_sim(
     let v_ends = vertex_ends(&plan);
     let x_r = m.alloc("x", 4 * n, place4(&v_ends, 4));
     let y_r = m.alloc("y", 4 * n, place4(&v_ends, 4));
-    let intra_ends: Vec<u64> = v_ends.iter().map(|&v| layout.intra_offsets[v as usize]).collect();
+    let intra_ends = part_ends(&plan, &layout.part_intra_ranges);
     // Offsets arrays have n + 1 entries; extend the last node's coverage.
     let mut v_ends_plus = v_ends.clone();
     if let Some(l) = v_ends_plus.last_mut() {
@@ -77,19 +78,9 @@ pub fn spmv_sim(
     let src_offsets = layout.png_src_offsets();
     let msg_ends: Vec<u64> = plan.nodes.iter().map(|nd| src_offsets[nd.part_range.end]).collect();
     let png_src_r = m.alloc("png_src", 4 * msgs, place4(&msg_ends, 4));
-    let slot_ends: Vec<u64> = plan
-        .nodes
-        .iter()
-        .map(|nd| {
-            if nd.part_range.end == 0 {
-                0
-            } else {
-                layout.part_slot_ranges[nd.part_range.end - 1].end
-            }
-        })
-        .collect();
+    let slot_ends = part_ends(&plan, &layout.part_slot_ranges);
     let vals_r = m.alloc("vals", 4 * msgs, place4(&slot_ends, 4));
-    let dest_ends: Vec<u64> = slot_ends.iter().map(|&s| layout.dest_offsets[s as usize]).collect();
+    let dest_ends = part_ends(&plan, &layout.part_dest_ranges);
     let dest_verts_r = m.alloc("dest_verts", 4 * layout.dest_verts.len(), place4(&dest_ends, 4));
     let preprocess = m.cycles();
 
@@ -128,20 +119,18 @@ pub fn spmv_sim(
                     if lo == hi {
                         continue;
                     }
-                    let ilo = layout.intra_offsets[lo] as usize;
-                    let ihi = layout.intra_offsets[hi] as usize;
-                    if ihi > ilo {
+                    let (stream, srcs) = layout.intra_runs(p);
+                    if !stream.is_empty() {
+                        let ilo = layout.part_intra_ranges[p].start as usize;
                         ctx.stream_read(intra_off_r, 4 * lo, 4 * (hi - lo + 1));
-                        ctx.stream_read(intra_dst_r, 4 * ilo, 4 * (ihi - ilo));
-                        for v in lo..hi {
-                            let intra = layout.intra_of(v as u32);
-                            if intra.is_empty() {
-                                continue;
-                            }
+                        ctx.stream_read(intra_dst_r, 4 * ilo, 4 * stream.len());
+                        for (&v, intra) in srcs.iter().zip(runs(stream)) {
+                            let v = v as usize;
                             ctx.read(x_r, 4 * v, 4);
-                            for &dst in intra {
-                                y[dst as usize] += x[v];
-                                ctx.write(y_r, 4 * dst as usize, 4);
+                            for &e in intra {
+                                let dst = run_vertex(e);
+                                y[dst] += x[v];
+                                ctx.write(y_r, 4 * dst, 4);
                             }
                             ctx.compute(intra.len() as u64);
                         }
@@ -173,17 +162,15 @@ pub fn spmv_sim(
                         continue;
                     }
                     ctx.stream_read(vals_r, 4 * slo, 4 * (shi - slo));
-                    let dlo = layout.dest_offsets[slo] as usize;
-                    let dhi = layout.dest_offsets[shi] as usize;
-                    if dhi > dlo {
-                        ctx.stream_read(dest_verts_r, 4 * dlo, 4 * (dhi - dlo));
-                    }
-                    for k in slo..shi {
+                    let inbox = layout.inbox(q);
+                    let dlo = layout.part_dest_ranges[q].start as usize;
+                    ctx.stream_read(dest_verts_r, 4 * dlo, 4 * inbox.len());
+                    for (k, dests) in (slo..shi).zip(runs(inbox)) {
                         let val = vals[k];
-                        let dests = layout.dests_of(k as u64);
-                        for &dst in dests {
-                            y[dst as usize] += val;
-                            ctx.write(y_r, 4 * dst as usize, 4);
+                        for &e in dests {
+                            let dst = run_vertex(e);
+                            y[dst] += val;
+                            ctx.write(y_r, 4 * dst, 4);
                         }
                         ctx.compute(dests.len() as u64);
                     }

@@ -8,6 +8,7 @@
 //! arrays sequentially. This is how a weighted PCPM keeps the compression
 //! benefit.
 
+use hipa_core::pcpm::{run_entries, run_vertex};
 use hipa_core::PcpmLayout;
 use hipa_graph::WeightedCsr;
 
@@ -16,7 +17,7 @@ use hipa_graph::WeightedCsr;
 #[derive(Debug, Clone)]
 pub struct WeightedPcpm {
     pub layout: PcpmLayout,
-    /// Weight of `layout.intra_dst[i]`.
+    /// Weight of `layout.intra_dst[i]` (the run stream's order).
     pub intra_weights: Vec<f32>,
     /// Weight of `layout.dest_verts[i]`.
     pub dest_weights: Vec<f32>,
@@ -28,34 +29,28 @@ impl WeightedPcpm {
         let layout = PcpmLayout::build(w.csr(), verts_per_partition, false);
         // Replay the layout's construction order to permute weights: for
         // each source vertex, its sorted adjacency splits into intra entries
-        // (in order) and message runs; each run takes the next slot of its
-        // destination partition, and its k-th destination lands at
-        // dest_offsets[slot] + k.
+        // (in order) and inter entries; messages fill each destination
+        // partition's inbox in source order, so every inter entry lands at
+        // the next position of its destination's inbox cursor.
         let mut intra_weights = vec![0.0f32; layout.intra_dst.len()];
         let mut dest_weights = vec![0.0f32; layout.dest_verts.len()];
         let mut intra_cur = 0usize;
-        let mut cursors: Vec<u64> = layout.part_slot_ranges.iter().map(|r| r.start).collect();
+        let mut cursors: Vec<u64> = layout.part_dest_ranges.iter().map(|r| r.start).collect();
         let vpp = layout.verts_per_partition;
         for v in 0..w.num_vertices() as u32 {
             let pv = v as usize / vpp;
-            let mut run_part = usize::MAX;
-            let mut fill = 0usize;
             for (t, weight) in w.neighbors(v) {
                 let pt = t as usize / vpp;
                 if pt == pv {
-                    debug_assert_eq!(layout.intra_dst[intra_cur], t);
+                    debug_assert_eq!(run_vertex(layout.intra_dst[intra_cur]), t as usize);
                     intra_weights[intra_cur] = weight;
                     intra_cur += 1;
                     continue;
                 }
-                if pt != run_part {
-                    run_part = pt;
-                    fill = layout.dest_offsets[cursors[pt] as usize] as usize;
-                    cursors[pt] += 1;
-                }
-                debug_assert_eq!(layout.dest_verts[fill], t);
+                let fill = cursors[pt] as usize;
+                debug_assert_eq!(run_vertex(layout.dest_verts[fill]), t as usize);
                 dest_weights[fill] = weight;
-                fill += 1;
+                cursors[pt] += 1;
             }
         }
         WeightedPcpm { layout, intra_weights, dest_weights }
@@ -91,13 +86,10 @@ pub fn wspmv_partition_centric(w: &WeightedCsr, x: &[f32], verts_per_partition: 
     let mut vals = vec![0.0f32; l.total_msgs as usize];
     // Scatter: intra edges apply weight immediately; messages carry x[src].
     for p in 0..l.num_partitions {
-        let vr = l.partition_vertices(p);
-        for v in vr.start..vr.end {
-            let lo = l.intra_offsets[v as usize] as usize;
-            let hi = l.intra_offsets[v as usize + 1] as usize;
-            for k in lo..hi {
-                y[l.intra_dst[k] as usize] += wl.intra_weights[k] * x[v as usize];
-            }
+        let (stream, srcs) = l.intra_runs(p);
+        let weights = &wl.intra_weights[l.part_intra_ranges[p].start as usize..];
+        for ((i, dst), &weight) in run_entries(stream).zip(weights) {
+            y[dst] += weight * x[srcs[i] as usize];
         }
         for pair in l.png_of(p) {
             for (k, &src) in l.png_sources(pair).iter().enumerate() {
@@ -107,13 +99,10 @@ pub fn wspmv_partition_centric(w: &WeightedCsr, x: &[f32], verts_per_partition: 
     }
     // Gather: weights applied from the permuted per-destination array.
     for q in 0..l.num_partitions {
-        for slot in l.part_slot_ranges[q].clone() {
-            let val = vals[slot as usize];
-            let lo = l.dest_offsets[slot as usize] as usize;
-            let hi = l.dest_offsets[slot as usize + 1] as usize;
-            for k in lo..hi {
-                y[l.dest_verts[k] as usize] += wl.dest_weights[k] * val;
-            }
+        let vals = &vals[l.part_slot_ranges[q].start as usize..];
+        let weights = &wl.dest_weights[l.part_dest_ranges[q].start as usize..];
+        for ((k, dst), &weight) in run_entries(l.inbox(q)).zip(weights) {
+            y[dst] += weight * vals[k];
         }
     }
     y

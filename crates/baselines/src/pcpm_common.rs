@@ -33,6 +33,7 @@ use crate::common::{base_value, dangling_mass, inv_deg_array_par};
 use hipa_core::convergence;
 use hipa_core::disjoint::SharedSlice;
 use hipa_core::hb::ClaimCounter;
+use hipa_core::pcpm::{run_entries, run_vertex, runs};
 use hipa_core::prefetch::{prefetch_read, LineFilter, PREFETCH_DISTANCE};
 use hipa_core::{
     DanglingPolicy, NativeOpts, NativeRun, PageRankConfig, PcpmLayout, SimOpts, SimRun,
@@ -165,19 +166,15 @@ pub fn run_native(
                                 break;
                             }
                             claims += 1;
-                            let vr = layout.partition_vertices(p);
-                            for v in vr.start as usize..vr.end as usize {
-                                let intra = layout.intra_of(v as u32);
-                                if intra.is_empty() {
-                                    continue;
-                                }
+                            // One branch-free pass over p's intra stream;
+                            // each entry recomputes its source's value.
+                            let (stream, srcs) = layout.intra_runs(p);
+                            for (i, dst) in run_entries(stream) {
+                                let v = srcs[i] as usize;
                                 let val = rank[v] * inv_deg[v];
-                                for &dst in intra {
-                                    // SAFETY: intra destinations lie in
-                                    // partition p, which this thread
-                                    // exclusively claimed.
-                                    unsafe { acc_s.update(dst as usize, |a| *a += val) };
-                                }
+                                // SAFETY: intra destinations lie in partition
+                                // p, which this thread exclusively claimed.
+                                unsafe { acc_s.update(dst, |a| *a += val) };
                             }
                             for pair in layout.png_of(p) {
                                 let srcs = layout.png_sources(pair);
@@ -244,27 +241,25 @@ pub fn run_native(
                                 break;
                             }
                             claims += 1;
-                            let sr = layout.part_slot_ranges[q].clone();
+                            // One branch-free pass over q's inbox: run k
+                            // of the stream is slot `first_slot + k`.
+                            let first_slot = layout.part_slot_ranges[q].start as usize;
+                            let inbox = layout.inbox(q);
                             let mut pf = LineFilter::new();
-                            for k in sr.clone() {
-                                // Run ahead on the accumulator lines the slot
-                                // `PREFETCH_DISTANCE` messages onward will hit.
+                            for (e, (k, dst)) in run_entries(inbox).enumerate() {
+                                // Run ahead on the stream: warm the
+                                // accumulator `PREFETCH_DISTANCE` entries out.
                                 if do_prefetch {
-                                    let ka = k + PREFETCH_DISTANCE as u64;
-                                    if ka < sr.end {
-                                        for &dst in layout.dests_of(ka) {
-                                            if pf.admit(dst as usize) {
-                                                acc_s.prefetch(dst as usize);
-                                            }
+                                    if let Some(&ahead) = inbox.get(e + PREFETCH_DISTANCE) {
+                                        if pf.admit(run_vertex(ahead)) {
+                                            acc_s.prefetch(run_vertex(ahead));
                                         }
                                     }
                                 }
-                                let val = vals[k as usize];
-                                for &dst in layout.dests_of(k) {
-                                    // SAFETY: destinations lie in q, claimed
-                                    // exclusively by this thread.
-                                    unsafe { acc_s.update(dst as usize, |a| *a += val) };
-                                }
+                                let val = vals[first_slot + k];
+                                // SAFETY: destinations lie in q, claimed
+                                // exclusively by this thread.
+                                unsafe { acc_s.update(dst, |a| *a += val) };
                             }
                             let vr = layout.partition_vertices(q);
                             let mut delta = 0.0f64;
@@ -500,22 +495,22 @@ pub fn run_sim(g: &DiGraph, cfg: &PageRankConfig, opts: &SimOpts, params: &PcpmP
                     let (lo, hi) = (vr.start as usize, vr.end as usize);
                     if lo < hi {
                         let len = hi - lo;
-                        // Intra pass (absent in the binned GPOP mode).
-                        let ilo = layout.intra_offsets[lo] as usize;
-                        let ihi = layout.intra_offsets[hi] as usize;
-                        if ihi > ilo {
+                        // Intra pass (absent in the binned GPOP mode). The
+                        // model keeps its u32 per-vertex offset charge
+                        // (DESIGN.md §2).
+                        let (stream, srcs) = layout.intra_runs(p);
+                        if !stream.is_empty() {
+                            let ilo = layout.part_intra_ranges[p].start as usize;
                             ctx.stream_read(intra_off_r, 4 * lo, 4 * (len + 1));
-                            ctx.stream_read(intra_dst_r, 4 * ilo, 4 * (ihi - ilo));
-                            for v in lo..hi {
-                                let intra = layout.intra_of(v as u32);
-                                if intra.is_empty() {
-                                    continue;
-                                }
+                            ctx.stream_read(intra_dst_r, 4 * ilo, 4 * stream.len());
+                            for (&v, intra) in srcs.iter().zip(runs(stream)) {
+                                let v = v as usize;
                                 ctx.read(contrib_r, 4 * v, 4);
                                 let val = contrib[v];
-                                for &dst in intra {
-                                    acc[dst as usize] += val;
-                                    ctx.write(acc_r, 4 * dst as usize, 4);
+                                for &e in intra {
+                                    let dst = run_vertex(e);
+                                    acc[dst] += val;
+                                    ctx.write(acc_r, 4 * dst, 4);
                                 }
                                 ctx.compute(1 + intra.len() as u64);
                             }
@@ -597,30 +592,26 @@ pub fn run_sim(g: &DiGraph, cfg: &PageRankConfig, opts: &SimOpts, params: &PcpmP
                         ctx.stream_read(vals_r, payload * slo, payload * (shi - slo));
                         // Message boundaries ride as MSB flags in the
                         // destination list; no separate offsets stream.
-                        let dlo = layout.dest_offsets[slo] as usize;
-                        let dhi = layout.dest_offsets[shi] as usize;
-                        if dhi > dlo {
-                            ctx.stream_read(dest_verts_r, 4 * dlo, 4 * (dhi - dlo));
-                        }
+                        let inbox = layout.inbox(q);
+                        let dlo = layout.part_dest_ranges[q].start as usize;
+                        ctx.stream_read(dest_verts_r, 4 * dlo, 4 * inbox.len());
                         let mut pf = LineFilter::new();
-                        for k in slo..shi {
+                        let mut ahead = runs(inbox).skip(PREFETCH_DISTANCE);
+                        for (k, dests) in (slo..shi).zip(runs(inbox)) {
                             // Run ahead on the accumulator lines the slot
                             // `PREFETCH_DISTANCE` messages onward will hit.
                             if do_prefetch {
-                                let ka = k + PREFETCH_DISTANCE;
-                                if ka < shi {
-                                    for &dst in layout.dests_of(ka as u64) {
-                                        if pf.admit(dst as usize) {
-                                            ctx.prefetch(acc_r, 4 * dst as usize, 4);
-                                        }
+                                for &e in ahead.next().unwrap_or_default() {
+                                    if pf.admit(run_vertex(e)) {
+                                        ctx.prefetch(acc_r, 4 * run_vertex(e), 4);
                                     }
                                 }
                             }
                             let val = vals[k];
-                            let dests = layout.dests_of(k as u64);
-                            for &dst in dests {
-                                acc[dst as usize] += val;
-                                ctx.write(acc_r, 4 * dst as usize, 4);
+                            for &e in dests {
+                                let dst = run_vertex(e);
+                                acc[dst] += val;
+                                ctx.write(acc_r, 4 * dst, 4);
                             }
                             ctx.compute((1 + params.extra_ops_per_edge) * dests.len() as u64);
                         }

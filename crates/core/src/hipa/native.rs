@@ -32,7 +32,7 @@ use crate::config::{DanglingPolicy, PageRankConfig};
 use crate::convergence;
 use crate::disjoint::SharedSlice;
 use crate::hb::TrackedBarrier;
-use crate::pcpm::PcpmLayout;
+use crate::pcpm::{run_entries, run_vertex, PcpmLayout};
 use crate::prefetch::{prefetch_read, LineFilter, PREFETCH_DISTANCE};
 use crate::runs::{NativeOpts, NativeRun};
 use hipa_graph::{DiGraph, VERTEX_BYTES};
@@ -148,19 +148,17 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                         // sequential bin write per destination (PNG view) ---
                         let scatter_t = spans.start();
                         for p in parts.clone() {
-                            let vr = layout.partition_vertices(p);
-                            for v in vr.start as usize..vr.end as usize {
-                                let intra = layout.intra_of(v as u32);
-                                if intra.is_empty() {
-                                    continue;
-                                }
+                            // One branch-free pass over the partition's intra
+                            // stream; each entry recomputes its source's
+                            // contribution (same operands, same value).
+                            let (stream, srcs) = layout.intra_runs(p);
+                            for (i, dst) in run_entries(stream) {
+                                let v = srcs[i] as usize;
                                 // SAFETY: v is in this thread's own range.
                                 let val = unsafe { rank_s.get(v) } * inv_deg[v];
-                                for &dst in intra {
-                                    // SAFETY: intra destinations stay inside
-                                    // this thread's own partitions.
-                                    unsafe { acc_s.update(dst as usize, |a| *a += val) };
-                                }
+                                // SAFETY: intra destinations stay inside this
+                                // thread's own partitions.
+                                unsafe { acc_s.update(dst, |a| *a += val) };
                             }
                             for pair in layout.png_of(p) {
                                 let srcs = layout.png_sources(pair);
@@ -197,30 +195,27 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                         let mut dpart = 0.0f64;
                         let mut delta = 0.0f64;
                         for q in parts.clone() {
-                            let sr = layout.part_slot_ranges[q].clone();
+                            // One branch-free pass over q's inbox: run k
+                            // of the stream is slot `first_slot + k`.
+                            let first_slot = layout.part_slot_ranges[q].start as usize;
+                            let inbox = layout.inbox(q);
                             let mut pf = LineFilter::new();
-                            for k in sr.clone() {
+                            for (e, (k, dst)) in run_entries(inbox).enumerate() {
                                 if do_prefetch {
-                                    // Run ahead on the neighbour-offset runs:
-                                    // warm the accumulators of the slot
-                                    // PREFETCH_DISTANCE messages out (each
-                                    // dest line is prefetched exactly once).
-                                    let ka = k + PREFETCH_DISTANCE as u64;
-                                    if ka < sr.end {
-                                        for &dst in layout.dests_of(ka) {
-                                            if pf.admit(dst as usize) {
-                                                acc_s.prefetch(dst as usize);
-                                            }
+                                    // Run ahead on the stream: warm the
+                                    // accumulator PREFETCH_DISTANCE entries
+                                    // out (each line once).
+                                    if let Some(&ahead) = inbox.get(e + PREFETCH_DISTANCE) {
+                                        if pf.admit(run_vertex(ahead)) {
+                                            acc_s.prefetch(run_vertex(ahead));
                                         }
                                     }
                                 }
                                 // SAFETY: the inbox of q is only read by q's
                                 // owner after the scatter barrier.
-                                let val = unsafe { vals_s.get(k as usize) };
-                                for &dst in layout.dests_of(k) {
-                                    // SAFETY: dest vertices lie inside q.
-                                    unsafe { acc_s.update(dst as usize, |a| *a += val) };
-                                }
+                                let val = unsafe { vals_s.get(first_slot + k) };
+                                // SAFETY: dest vertices lie inside q.
+                                unsafe { acc_s.update(dst, |a| *a += val) };
                             }
                             let vr = layout.partition_vertices(q);
                             for v in vr.start as usize..vr.end as usize {

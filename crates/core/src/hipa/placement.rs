@@ -7,6 +7,7 @@
 //! node" into the simulator's [`Placement::Blocked`] byte ranges.
 
 use hipa_numasim::Placement;
+use std::ops::Range;
 
 /// Builds a blocked placement for an array of `elem_bytes`-sized elements
 /// where node `i` owns indices `[ends[i-1], ends[i])` (with `ends[-1] = 0`).
@@ -27,6 +28,15 @@ pub fn blocked_by_index(ends: &[u64], elem_bytes: usize) -> Placement {
 /// most common input to [`blocked_by_index`].
 pub fn vertex_ends(plan: &hipa_partition::HiPaPlan) -> Vec<u64> {
     plan.nodes.iter().map(|n| n.vertex_range.end as u64).collect()
+}
+
+/// Per-node ends of an array cut into per-partition `ranges` (ascending and
+/// contiguous, e.g. `PcpmLayout::part_slot_ranges`). Node vertex ranges are
+/// partition-aligned, so a node's share ends where its last partition's
+/// does; a node with no partitions before its end ends at 0.
+pub fn part_ends(plan: &hipa_partition::HiPaPlan, ranges: &[Range<u64>]) -> Vec<u64> {
+    let end = |parts_end: usize| parts_end.checked_sub(1).map_or(0, |p| ranges[p].end);
+    plan.nodes.iter().map(|n| end(n.part_range.end)).collect()
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 
 use crate::config::{DanglingPolicy, PageRankConfig};
 use crate::convergence;
-use crate::hipa::placement::vertex_ends;
-use crate::pcpm::PcpmLayout;
+use crate::hipa::placement::{part_ends, vertex_ends};
+use crate::pcpm::{run_vertex, runs, PcpmLayout};
 use crate::prefetch::{LineFilter, PREFETCH_DISTANCE};
 use crate::runs::{SimOpts, SimRun};
 use hipa_graph::{DiGraph, VERTEX_BYTES};
@@ -144,16 +144,17 @@ pub fn run_variant(
     let acc_r = machine.alloc("acc", 4 * n, blocked_by_index(&v_ends, 4));
     let invdeg_r = machine.alloc("inv_deg", 4 * n, blocked_by_index(&v_ends, 4));
     let deg_r = machine.alloc("deg", 4 * n, blocked_by_index(&v_ends, 4));
-    // Runtime metadata widths follow the real PCPM encoding: u32 intra
-    // offsets, 12-byte PNG bin headers, u32 source lists, MSB-flagged u32
-    // destination lists. (Host-side mirrors may be wider; only the charged
-    // widths model DRAM traffic.)
+    // Runtime metadata widths follow the real PCPM encoding: 12-byte PNG
+    // bin headers, u32 source lists, MSB-flagged u32 destination lists —
+    // the streams the native kernels read. Intra-edges are charged as u32
+    // per-vertex offsets plus the destination list, a fixed part of the
+    // model even though the host streams flagged intra runs instead.
     let intra_off_r = machine.alloc(
         "intra_offsets",
         4 * (n + 1),
         blocked_by_index(&plus_one_elem(v_ends.clone()), 4),
     );
-    let intra_ends: Vec<u64> = v_ends.iter().map(|&v| layout.intra_offsets[v as usize]).collect();
+    let intra_ends = part_ends(&plan, &layout.part_intra_ranges);
     let intra_dst_r = machine.alloc("intra_dst", 4 * n_intra, blocked_by_index(&intra_ends, 4));
     // PNG scatter view, split by *source* partition ownership.
     let pair_ends: Vec<u64> = plan
@@ -176,19 +177,9 @@ pub fn run_variant(
     let png_src_r = machine.alloc("png_src", 4 * msgs, blocked_by_index(&msg_ends, 4));
     // Gather-side arrays are split by *destination* partition ownership, so
     // a node gathers from local memory (Fig. 1).
-    let slot_ends: Vec<u64> = plan
-        .nodes
-        .iter()
-        .map(|nd| {
-            if nd.part_range.end == 0 {
-                0
-            } else {
-                layout.part_slot_ranges[nd.part_range.end - 1].end
-            }
-        })
-        .collect();
+    let slot_ends = part_ends(&plan, &layout.part_slot_ranges);
     let vals_r = machine.alloc("vals", 4 * msgs, blocked_by_index(&slot_ends, 4));
-    let dest_ends: Vec<u64> = slot_ends.iter().map(|&s| layout.dest_offsets[s as usize]).collect();
+    let dest_ends = part_ends(&plan, &layout.part_dest_ranges);
     let dest_verts_r = machine.alloc("dest_verts", 4 * n_dest, blocked_by_index(&dest_ends, 4));
     // Raw CSR as loaded from disk, before any NUMA awareness: interleaved.
     let m = g.num_edges();
@@ -339,21 +330,19 @@ pub fn run_variant(
                     let len = hi - lo;
                     // Intra pass: apply same-partition edges directly in the
                     // private cache (Fig. 4 left).
-                    let ilo = layout.intra_offsets[lo] as usize;
-                    let ihi = layout.intra_offsets[hi] as usize;
-                    if ihi > ilo {
+                    let (stream, srcs) = layout.intra_runs(p);
+                    if !stream.is_empty() {
+                        let ilo = layout.part_intra_ranges[p].start as usize;
                         ctx.stream_read(intra_off_r, 4 * lo, 4 * (len + 1));
-                        ctx.stream_read(intra_dst_r, 4 * ilo, 4 * (ihi - ilo));
-                        for v in lo..hi {
-                            let intra = layout.intra_of(v as u32);
-                            if intra.is_empty() {
-                                continue;
-                            }
+                        ctx.stream_read(intra_dst_r, 4 * ilo, 4 * stream.len());
+                        for (&v, intra) in srcs.iter().zip(runs(stream)) {
+                            let v = v as usize;
                             ctx.read(contrib_r, 4 * v, 4);
                             let val = contrib[v];
-                            for &dst in intra {
-                                acc[dst as usize] += val;
-                                ctx.write(acc_r, 4 * dst as usize, 4);
+                            for &e in intra {
+                                let dst = run_vertex(e);
+                                acc[dst] += val;
+                                ctx.write(acc_r, 4 * dst, 4);
                             }
                             ctx.compute(1 + intra.len() as u64);
                         }
@@ -428,31 +417,28 @@ pub fn run_variant(
                         // Message boundaries ride as MSB flags inside the
                         // destination list — 4 bytes per edge, no separate
                         // offsets stream.
-                        let dlo = layout.dest_offsets[slo] as usize;
-                        let dhi = layout.dest_offsets[shi] as usize;
-                        if dhi > dlo {
-                            ctx.stream_read(dest_verts_r, 4 * dlo, 4 * (dhi - dlo));
-                        }
+                        let inbox = layout.inbox(q);
+                        let dlo = layout.part_dest_ranges[q].start as usize;
+                        ctx.stream_read(dest_verts_r, 4 * dlo, 4 * inbox.len());
                         let mut pf = LineFilter::new();
-                        for k in slo..shi {
+                        let mut ahead = runs(inbox).skip(PREFETCH_DISTANCE);
+                        for (k, dests) in (slo..shi).zip(runs(inbox)) {
                             // Run ahead on the accumulator lines the slot
                             // `PREFETCH_DISTANCE` messages onward will hit
-                            // (mirrors the native kernel's hints).
+                            // (the native kernel runs ahead by stream
+                            // entries; the model keeps its message distance).
                             if do_prefetch {
-                                let ka = k + PREFETCH_DISTANCE;
-                                if ka < shi {
-                                    for &dst in layout.dests_of(ka as u64) {
-                                        if pf.admit(dst as usize) {
-                                            ctx.prefetch(acc_r, 4 * dst as usize, 4);
-                                        }
+                                for &e in ahead.next().unwrap_or_default() {
+                                    if pf.admit(run_vertex(e)) {
+                                        ctx.prefetch(acc_r, 4 * run_vertex(e), 4);
                                     }
                                 }
                             }
                             let val = vals[k];
-                            let dests = layout.dests_of(k as u64);
-                            for &dst in dests {
-                                acc[dst as usize] += val;
-                                ctx.write(acc_r, 4 * dst as usize, 4);
+                            for &e in dests {
+                                let dst = run_vertex(e);
+                                acc[dst] += val;
+                                ctx.write(acc_r, 4 * dst, 4);
                             }
                             ctx.compute(dests.len() as u64);
                         }

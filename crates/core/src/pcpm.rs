@@ -20,12 +20,22 @@
 //! as one stream. Sizes are static because PageRank sends every message in
 //! every iteration.
 //!
+//! Both edge lists are **run-encoded** as in PCPM: a flat `u32` stream in
+//! which the first entry of every run carries [`RUN_FLAG`], the top bit of
+//! the vertex id. In `dest_verts` a run is one message, so destination
+//! partition `q`'s inbox holds its slots' destination lists back to back
+//! and its `k`-th run belongs to slot `part_slot_ranges[q].start + k`. In
+//! `intra_dst` a run is one source's intra-edges, and the `k`-th run of
+//! partition `p` belongs to source `intra_srcs[part_intra_src_ranges[p]][k]`.
+//! No per-slot or per-vertex offsets exist: a kernel decodes a partition's
+//! stream in one branch-free pass ([`run_entries`]), 4 bytes per edge.
+//!
 //! disjointness: build-chunk plan (`chunk_plan`) — every chunk is a vertex
 //! range inside one partition, claimed once per pass via `run_indexed`. The
 //! count pass writes only the chunk's own count-matrix row; the fill pass
-//! writes only the chunk's own vertex range of `intra_offsets` / `intra_dst`
-//! and the slot, destination and PNG-source cursor blocks the sequential
-//! scans reserved for it. Each `SharedSlice` lives for a single pass.
+//! writes only the intra, intra-source, destination and PNG-source cursor
+//! blocks the sequential scans reserved for it. Each `SharedSlice` lives
+//! for a single pass.
 
 use crate::disjoint::SharedSlice;
 use crate::par::run_indexed;
@@ -37,6 +47,64 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// with unequal edge counts. The chunk count — and with it the count
 /// matrix — scales with the worker count, not with the vertex count.
 const CHUNKS_PER_THREAD: usize = 8;
+
+/// Flag on the first entry of every run in `dest_verts` and `intra_dst`.
+/// It takes the top bit of the vertex id, so a layout holds at most 2^31
+/// vertices (see `check_run_flag_bound`).
+pub const RUN_FLAG: u32 = 1 << 31;
+
+/// Vertex id of a run-stream entry (the entry with [`RUN_FLAG`] cleared).
+#[inline(always)]
+pub fn run_vertex(e: u32) -> usize {
+    (e & !RUN_FLAG) as usize
+}
+
+/// Branch-free decode of a run stream: yields `(run, vertex)` for every
+/// entry in order, where `run` counts the stream's runs from 0. The run
+/// index advances by the entry's flag bit, so the loop carries no
+/// data-dependent branch.
+#[inline(always)]
+pub fn run_entries(stream: &[u32]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    stream.iter().scan(0usize, |runs, &e| {
+        *runs += (e >> 31) as usize;
+        // Every stream opens with a flagged entry, so `*runs >= 1` here.
+        Some((*runs - 1, run_vertex(e)))
+    })
+}
+
+/// Run-at-a-time view of a run stream, for the simulators, which charge
+/// per message and per source: yields each run's entries, the first still
+/// flagged (read ids through [`run_vertex`]).
+pub fn runs(stream: &[u32]) -> Runs<'_> {
+    Runs { rest: stream }
+}
+
+/// Iterator returned by [`runs`].
+#[derive(Debug, Clone)]
+pub struct Runs<'a> {
+    rest: &'a [u32],
+}
+
+impl<'a> Iterator for Runs<'a> {
+    type Item = &'a [u32];
+
+    fn next(&mut self) -> Option<&'a [u32]> {
+        let tail = self.rest.get(1..)?;
+        let len = 1 + tail.iter().position(|&e| e & RUN_FLAG != 0).unwrap_or(tail.len());
+        let (run, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Some(run)
+    }
+}
+
+/// Rejects a vertex count whose ids would reach [`RUN_FLAG`]: ids run up
+/// to `n - 1`, which must leave the top bit clear.
+fn check_run_flag_bound(n: usize) {
+    assert!(
+        n <= RUN_FLAG as usize,
+        "{n} vertices: ids from 2^31 up would collide with the RUN_FLAG bit"
+    );
+}
 
 /// Process-wide tally of layout constructions, bumped once at the head of
 /// the builder.
@@ -52,27 +120,31 @@ pub fn layout_builds_total() -> u64 {
     LAYOUT_BUILDS.load(Ordering::Relaxed)
 }
 
-/// The built layout. All index arrays are `u64`-offset CSR-style.
+/// The built layout: two run-encoded edge streams (see the module docs),
+/// per-partition ranges into them, and the PNG scatter view.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcpmLayout {
     pub verts_per_partition: usize,
     pub num_partitions: usize,
     pub num_vertices: usize,
-    /// Intra-edge adjacency: destinations of vertex `v` are
-    /// `intra_dst[intra_offsets[v]..intra_offsets[v+1]]`. Empty when
-    /// `include_intra_in_bins` (the GPOP-style mode that bins everything).
-    pub intra_offsets: Vec<u64>,
+    /// Intra-edge stream: the same-partition destinations of every source
+    /// that has any, sources in vertex order, each source's first entry
+    /// flagged. Empty when `include_intra_in_bins` (the GPOP-style mode
+    /// that bins everything).
     pub intra_dst: Vec<u32>,
+    /// Source of each `intra_dst` run: the vertices with at least one
+    /// intra-edge, ascending.
+    pub intra_srcs: Vec<u32>,
+    /// Partition `p`'s share of `intra_dst`.
+    pub part_intra_ranges: Vec<Range<u64>>,
+    /// Partition `p`'s share of `intra_srcs`.
+    pub part_intra_src_ranges: Vec<Range<u32>>,
     /// Slot ranges per destination partition (contiguous, ascending).
     pub part_slot_ranges: Vec<Range<u64>>,
-    /// Destination vertices of slot `k`:
-    /// `dest_verts[dest_offsets[k]..dest_offsets[k+1]]`.
-    ///
-    /// At run time the real PCPM encodes message boundaries *inside* the
-    /// destination list with an MSB flag on each message's first entry, so
-    /// only 4 bytes per edge are streamed; `dest_offsets` is the build-time
-    /// equivalent and is not charged as runtime traffic.
-    pub dest_offsets: Vec<u64>,
+    /// Destination partition `q`'s inbox: its share of `dest_verts`.
+    pub part_dest_ranges: Vec<Range<u64>>,
+    /// Destination stream: the destination vertices of every slot in slot
+    /// order, each message's first entry flagged.
     pub dest_verts: Vec<u32>,
     pub total_msgs: u64,
     /// GPOP-style mode: intra-edges are binned like everything else.
@@ -135,6 +207,15 @@ fn chunk_plan(n: usize, vpp: usize, num_partitions: usize, chunk_verts: usize) -
 struct Cursor {
     slot: u64,
     dest: u64,
+    src: u64,
+}
+
+/// A chunk's intra-edges (`dst`) and intra sources (`src`, the vertices
+/// with at least one): counts after the count pass, the chunk's first
+/// `intra_dst` / `intra_srcs` index after the scans.
+#[derive(Debug, Clone, Copy, Default)]
+struct IntraCursor {
+    dst: u64,
     src: u64,
 }
 
@@ -224,12 +305,14 @@ impl PcpmLayout {
     ///
     /// Two passes over the edges, no sort. The only cross-vertex state of a
     /// sequential build is one slot cursor, one destination cursor and one
-    /// PNG-source cursor per destination partition, each advancing in
-    /// source-vertex order. The count pass tallies each chunk's messages and
-    /// inter-edges per destination; small sequential scans of that
-    /// (chunk × partition) matrix recover every cursor's value at every
-    /// chunk start — and the PNG bins with it — so the fill pass writes
-    /// each chunk's share of every array independently.
+    /// PNG-source cursor per destination partition, plus the intra cursors,
+    /// each advancing in source-vertex order. The count pass tallies each
+    /// chunk's messages and inter-edges per destination and its intra-edges
+    /// and intra sources; small sequential scans recover every cursor's
+    /// value at every chunk start — and the PNG bins and per-partition
+    /// stream ranges with it — so the fill pass writes each chunk's share
+    /// of every array independently, setting [`RUN_FLAG`] on the edge that
+    /// opens a message or a source's intra run.
     #[doc(hidden)]
     pub fn build_chunked(
         csr: &Csr,
@@ -245,27 +328,30 @@ impl PcpmLayout {
         let vpp = verts_per_partition;
         let threads = build_threads.max(1);
         let n = csr.num_vertices();
+        check_run_flag_bound(n);
         let np = n.div_ceil(vpp).max(1);
         let plan = chunk_plan(n, vpp, np, chunk_verts.max(1));
         let num_chunks = plan.verts.len();
         let (binned, compress) = (include_intra_in_bins, compress_inter);
 
-        // Count pass (parallel): per chunk, intra-edges in total and
-        // messages and inter-edges per destination partition.
+        // Count pass (parallel): per chunk, intra-edges and intra sources in
+        // total, and messages and inter-edges per destination partition.
         let mut cells = vec![Cursor::default(); num_chunks * np];
-        let mut chunk_intra = vec![0u64; num_chunks];
+        let mut chunk_intra = vec![IntraCursor::default(); num_chunks];
         {
             let cells_s = SharedSlice::new(&mut cells);
             let intra_s = SharedSlice::new(&mut chunk_intra);
             run_indexed(num_chunks, threads, |c| {
                 let mut row = vec![Cursor::default(); np];
-                let mut intra = 0u64;
+                let mut intra = IntraCursor::default();
                 for v in plan.verts[c].clone() {
                     let count_inter = |q: usize, opens_msg: bool, _| {
                         row[q].slot += opens_msg as u64;
                         row[q].dest += 1;
                     };
-                    walk_edges(csr, v, vpp, binned, compress, |_| intra += 1, count_inter);
+                    let before = intra.dst;
+                    walk_edges(csr, v, vpp, binned, compress, |_| intra.dst += 1, count_inter);
+                    intra.src += (intra.dst > before) as u64;
                 }
                 for (q, cell) in row.into_iter().enumerate() {
                     // SAFETY: row `c` of the matrix is chunk `c`'s alone.
@@ -288,18 +374,26 @@ impl PcpmLayout {
         }
         let (mut total_msgs, mut total_dests) = (0u64, 0u64);
         let mut part_slot_ranges = Vec::with_capacity(np);
+        let mut part_dest_ranges = Vec::with_capacity(np);
         for q in 0..np {
             part_slot_ranges.push(total_msgs..total_msgs + slot_cur[q]);
+            part_dest_ranges.push(total_dests..total_dests + dest_cur[q]);
             (slot_cur[q], total_msgs) = (total_msgs, total_msgs + slot_cur[q]);
             (dest_cur[q], total_dests) = (total_dests, total_dests + dest_cur[q]);
         }
         // Then, in (source partition, destination, chunk) order — the order
         // of `png_src` — each cell becomes its chunk's starting cursors, and
-        // every non-empty (p, q) run of cells becomes one PNG bin.
+        // every non-empty (p, q) run of cells becomes one PNG bin. The intra
+        // counts become cursors in chunk order, partition by partition.
         let mut png_index = Vec::with_capacity(np);
         let mut png_pairs = Vec::new();
         let mut src_cur = 0u64;
+        let mut intra_total = IntraCursor::default();
+        let mut part_intra_ranges = Vec::with_capacity(np);
+        let mut part_intra_src_ranges = Vec::with_capacity(np);
         let pair_bound = |len: usize| u32::try_from(len).expect("png_index bound overflows u32");
+        let src_bound =
+            |len: u64| u32::try_from(len).expect("part_intra_src_ranges bound overflows u32");
         for p in 0..np {
             let pairs_start = pair_bound(png_pairs.len());
             let chunks = plan.part_chunks[p]..plan.part_chunks[p + 1];
@@ -324,34 +418,36 @@ impl PcpmLayout {
                 }
             }
             png_index.push(pairs_start..pair_bound(png_pairs.len()));
+            let start = intra_total;
+            for x in &mut chunk_intra[chunks] {
+                let count = *x;
+                *x = intra_total;
+                intra_total.dst += count.dst;
+                intra_total.src += count.src;
+            }
+            part_intra_ranges.push(start.dst..intra_total.dst);
+            part_intra_src_ranges.push(src_bound(start.src)..src_bound(intra_total.src));
         }
         debug_assert_eq!(src_cur, total_msgs);
-        let mut total_intra = 0u64;
-        for x in chunk_intra.iter_mut() {
-            (*x, total_intra) = (total_intra, total_intra + *x);
-        }
 
         // Fill pass (parallel): each chunk replays its edges from its
-        // cursors, writing the intra adjacency of its own vertices and, per
-        // message, the slot's destination offset, destination list and
-        // PNG source entry.
-        let mut intra_offsets = vec![0u64; n + 1];
-        let mut intra_dst = vec![0u32; total_intra as usize];
-        let mut dest_offsets = vec![0u64; total_msgs as usize + 1];
-        dest_offsets[total_msgs as usize] = total_dests;
+        // cursors, writing its own sources' intra runs and, per message, the
+        // slot's destination run and PNG source entry.
+        let mut intra_dst = vec![0u32; intra_total.dst as usize];
+        let mut intra_srcs = vec![0u32; intra_total.src as usize];
         let mut dest_verts = vec![0u32; total_dests as usize];
         let mut png_src = vec![0u32; total_msgs as usize];
         {
-            let intra_offsets_s = SharedSlice::new(&mut intra_offsets);
             let intra_dst_s = SharedSlice::new(&mut intra_dst);
-            let dest_offsets_s = SharedSlice::new(&mut dest_offsets);
+            let intra_srcs_s = SharedSlice::new(&mut intra_srcs);
             let dest_verts_s = SharedSlice::new(&mut dest_verts);
             let png_src_s = SharedSlice::new(&mut png_src);
             let (cells, chunk_intra) = (&cells, &chunk_intra);
             run_indexed(num_chunks, threads, |c| {
                 let mut cur = cells[c * np..(c + 1) * np].to_vec();
-                let mut intra_cur = chunk_intra[c];
+                let mut icur = chunk_intra[c];
                 for v in plan.verts[c].clone() {
+                    let run_start = icur.dst;
                     walk_edges(
                         csr,
                         v,
@@ -359,34 +455,37 @@ impl PcpmLayout {
                         binned,
                         compress,
                         |t| {
-                            // SAFETY: the scans reserved intra_dst
-                            // [chunk_intra[c]..chunk_intra[c + 1]) for this
-                            // chunk, and it holds exactly its intra-edges.
-                            unsafe { intra_dst_s.write(intra_cur as usize, t) };
-                            intra_cur += 1;
+                            let flag = (icur.dst == run_start) as u32 * RUN_FLAG;
+                            // SAFETY: the scans reserved intra_dst from
+                            // chunk_intra[c].dst for this chunk's intra-edges
+                            // alone.
+                            unsafe { intra_dst_s.write(icur.dst as usize, t | flag) };
+                            icur.dst += 1;
                         },
                         |q, opens_msg, t| {
                             let k = &mut cur[q];
                             if opens_msg {
-                                // SAFETY: this chunk's slots and PNG source
-                                // entries for `q` are the `msgs` counted in
-                                // its cell, starting at the cell's cursors —
-                                // disjoint from every other chunk's.
-                                unsafe {
-                                    dest_offsets_s.write(k.slot as usize, k.dest);
-                                    png_src_s.write(k.src as usize, v);
-                                }
-                                k.slot += 1;
+                                // SAFETY: this chunk's PNG source entries
+                                // for `q` are the `msgs` counted in its cell,
+                                // starting at the cell's cursor — disjoint
+                                // from every other chunk's.
+                                unsafe { png_src_s.write(k.src as usize, v) };
                                 k.src += 1;
                             }
+                            let flag = opens_msg as u32 * RUN_FLAG;
                             // SAFETY: likewise for the chunk's `dests`
                             // destination entries into `q`.
-                            unsafe { dest_verts_s.write(k.dest as usize, t) };
+                            unsafe { dest_verts_s.write(k.dest as usize, t | flag) };
                             k.dest += 1;
                         },
                     );
-                    // SAFETY: `v + 1` lies in this chunk's vertex range.
-                    unsafe { intra_offsets_s.write(v as usize + 1, intra_cur) };
+                    if icur.dst > run_start {
+                        // SAFETY: the scans reserved intra_srcs from
+                        // chunk_intra[c].src for this chunk's intra sources
+                        // alone.
+                        unsafe { intra_srcs_s.write(icur.src as usize, v) };
+                        icur.src += 1;
+                    }
                 }
             });
         }
@@ -395,10 +494,12 @@ impl PcpmLayout {
             verts_per_partition,
             num_partitions: np,
             num_vertices: n,
-            intra_offsets,
             intra_dst,
+            intra_srcs,
+            part_intra_ranges,
+            part_intra_src_ranges,
             part_slot_ranges,
-            dest_offsets,
+            part_dest_ranges,
             dest_verts,
             total_msgs,
             include_intra_in_bins,
@@ -434,12 +535,24 @@ impl PcpmLayout {
         lo as u32..hi as u32
     }
 
-    /// Intra destinations of a vertex.
+    /// Partition `p`'s intra runs: its share of the `intra_dst` stream and
+    /// the source of each run, in order.
     #[inline]
-    pub fn intra_of(&self, v: u32) -> &[u32] {
-        let lo = self.intra_offsets[v as usize] as usize;
-        let hi = self.intra_offsets[v as usize + 1] as usize;
-        &self.intra_dst[lo..hi]
+    pub fn intra_runs(&self, p: usize) -> (&[u32], &[u32]) {
+        let r = &self.part_intra_ranges[p];
+        let s = &self.part_intra_src_ranges[p];
+        (
+            &self.intra_dst[r.start as usize..r.end as usize],
+            &self.intra_srcs[s.start as usize..s.end as usize],
+        )
+    }
+
+    /// Destination partition `q`'s inbox: its share of the `dest_verts`
+    /// stream, whose `k`-th run is slot `part_slot_ranges[q].start + k`.
+    #[inline]
+    pub fn inbox(&self, q: usize) -> &[u32] {
+        let r = &self.part_dest_ranges[q];
+        &self.dest_verts[r.start as usize..r.end as usize]
     }
 
     /// Message prefix by source partition (`num_partitions + 1` entries):
@@ -452,14 +565,6 @@ impl PcpmLayout {
             out.push(out[p] + msgs);
         }
         out
-    }
-
-    /// Destination vertices consuming slot `k`.
-    #[inline]
-    pub fn dests_of(&self, slot: u64) -> &[u32] {
-        let lo = self.dest_offsets[slot as usize] as usize;
-        let hi = self.dest_offsets[slot as usize + 1] as usize;
-        &self.dest_verts[lo..hi]
     }
 
     /// Inter-edge compression ratio achieved (≥ 1).
@@ -482,6 +587,24 @@ impl PcpmLayout {
 mod tests {
     use super::*;
     use hipa_graph::{Csr, EdgeList};
+
+    /// Slot `k`'s destination list and vertex `v`'s intra list, decoded
+    /// from the run streams.
+    fn decode(l: &PcpmLayout) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let mut dests = vec![Vec::new(); l.total_msgs as usize];
+        let mut intra = vec![Vec::new(); l.num_vertices];
+        for p in 0..l.num_partitions {
+            let base = l.part_slot_ranges[p].start as usize;
+            for (k, dst) in run_entries(l.inbox(p)) {
+                dests[base + k].push(dst as u32);
+            }
+            let (stream, srcs) = l.intra_runs(p);
+            for (k, dst) in run_entries(stream) {
+                intra[srcs[k] as usize].push(dst as u32);
+            }
+        }
+        (dests, intra)
+    }
 
     /// Vertex `v`'s messages read off the PNG view, as parallel
     /// `(dst_part, slot)` lists in destination order.
@@ -506,10 +629,15 @@ mod tests {
         let el = EdgeList::new(8, vec![(1, 2).into(), (1, 6).into(), (1, 7).into()]);
         let csr = Csr::from_edge_list(&el);
         let l = PcpmLayout::build(&csr, 4, false);
-        assert_eq!(l.intra_of(1), &[2]);
+        let (dests, intra) = decode(&l);
+        assert_eq!(intra[1], &[2]);
         let (parts, slots) = msgs_of(&l, 1);
         assert_eq!(parts, &[1]);
-        assert_eq!(l.dests_of(slots[0]), &[6, 7]);
+        assert_eq!(dests[slots[0] as usize], &[6, 7]);
+        // On the wire: one flagged entry opens each run.
+        assert_eq!(l.intra_dst, &[2 | RUN_FLAG]);
+        assert_eq!(l.intra_srcs, &[1]);
+        assert_eq!(l.dest_verts, &[6 | RUN_FLAG, 7]);
         assert_eq!(l.total_msgs, 1);
         assert!((l.compression_ratio() - 2.0).abs() < 1e-12);
         assert_eq!(l.total_edges(), 3);
@@ -521,6 +649,7 @@ mod tests {
         let el = EdgeList::from_pairs([(0, 4), (0, 5), (1, 4), (2, 5), (3, 0)]);
         let csr = Csr::from_edge_list(&el);
         let l = PcpmLayout::build(&csr, 2, false);
+        let (dests, _) = decode(&l);
         assert_eq!(l.num_partitions, 3);
         // Partition 2's inbox: messages from v0, v1, v2 in source order.
         let r = l.part_slot_ranges[2].clone();
@@ -531,11 +660,11 @@ mod tests {
         assert_eq!(s0, &[r.start]);
         assert_eq!(s1, &[r.start + 1]);
         assert_eq!(s2, &[r.start + 2]);
-        assert_eq!(l.dests_of(s0[0]), &[4, 5]);
+        assert_eq!(dests[s0[0] as usize], &[4, 5]);
         // Partition 0's inbox holds v3's message.
         let (_, s3) = msgs_of(&l, 3);
         assert_eq!(l.part_slot_ranges[0].clone().count(), 1);
-        assert_eq!(l.dests_of(s3[0]), &[0]);
+        assert_eq!(dests[s3[0] as usize], &[0]);
     }
 
     #[test]
@@ -629,7 +758,16 @@ mod tests {
             expect = r.end;
         }
         assert_eq!(expect, l.total_msgs);
-        assert_eq!(*l.dest_offsets.last().unwrap() as usize, l.dest_verts.len());
+        let mut expect = 0u64;
+        for (q, r) in l.part_dest_ranges.iter().enumerate() {
+            assert_eq!(r.start, expect);
+            expect = r.end;
+            // A non-empty inbox opens with a flagged entry, one per slot.
+            let flags = l.inbox(q).iter().filter(|&&e| e & RUN_FLAG != 0).count();
+            assert_eq!(flags as u64, l.part_slot_ranges[q].end - l.part_slot_ranges[q].start);
+            assert!(l.inbox(q).first().is_none_or(|&e| e & RUN_FLAG != 0));
+        }
+        assert_eq!(expect as usize, l.dest_verts.len());
     }
 
     #[test]
@@ -644,5 +782,31 @@ mod tests {
                 assert!(o[p] <= pair.src_start && pair.src_start + pair.len as u64 <= o[p + 1]);
             }
         }
+    }
+
+    #[test]
+    fn runs_split_a_stream_at_its_flags() {
+        let f = RUN_FLAG;
+        let stream = [3 | f, 4, 5, 9 | f, 1 | f, 2];
+        let got: Vec<&[u32]> = runs(&stream).collect();
+        assert_eq!(got, vec![&[3 | f, 4, 5][..], &[9 | f][..], &[1 | f, 2][..]]);
+        let entries: Vec<(usize, usize)> = run_entries(&stream).collect();
+        assert_eq!(entries, [(0, 3), (0, 4), (0, 5), (1, 9), (2, 1), (2, 2)]);
+        assert_eq!(runs(&[]).count(), 0);
+        assert_eq!(run_entries(&[]).count(), 0);
+    }
+
+    /// A graph of 2^31 vertices cannot be built in a test; the bound is
+    /// checked on the counts alone.
+    #[test]
+    fn run_flag_bound_admits_2_pow_31_vertices() {
+        check_run_flag_bound(0);
+        check_run_flag_bound(1 << 31);
+    }
+
+    #[test]
+    #[should_panic(expected = "RUN_FLAG")]
+    fn run_flag_bound_rejects_more_vertices() {
+        check_run_flag_bound((1 << 31) + 1);
     }
 }

@@ -2,6 +2,7 @@
 //! file I/O and the CSR builder.
 
 use crate::VertexId;
+use std::io;
 
 /// A directed edge `src -> dst`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -43,18 +44,24 @@ impl EdgeList {
     /// Creates an edge list over `num_vertices` vertices.
     ///
     /// # Panics
-    /// Panics if any edge endpoint is out of range.
+    /// Panics if any edge endpoint is out of range; [`Self::try_new`] is
+    /// the fallible form for untrusted input.
     pub fn new(num_vertices: usize, edges: Vec<Edge>) -> Self {
-        for e in &edges {
-            assert!(
-                (e.src as usize) < num_vertices && (e.dst as usize) < num_vertices,
-                "edge ({}, {}) out of range for {} vertices",
-                e.src,
-                e.dst,
-                num_vertices
-            );
+        Self::try_new(num_vertices, edges).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates an edge list over `num_vertices` vertices, or returns an
+    /// [`io::ErrorKind::InvalidData`] error naming the first edge with an
+    /// endpoint out of range.
+    pub fn try_new(num_vertices: usize, edges: Vec<Edge>) -> io::Result<Self> {
+        let out = |v: VertexId| v as usize >= num_vertices;
+        if let Some(e) = edges.iter().find(|e| out(e.src) || out(e.dst)) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("edge ({}, {}) out of range for {num_vertices} vertices", e.src, e.dst),
+            ));
         }
-        EdgeList { num_vertices, edges }
+        Ok(EdgeList { num_vertices, edges })
     }
 
     /// Creates an edge list from `(src, dst)` pairs, inferring the vertex
@@ -145,6 +152,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn new_rejects_out_of_range() {
         EdgeList::new(2, vec![Edge::new(0, 2)]);
+    }
+
+    #[test]
+    fn try_new_reports_out_of_range_as_invalid_data() {
+        let err = EdgeList::try_new(2, vec![Edge::new(0, 1), Edge::new(3, 0)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("edge (3, 0) out of range"), "{err}");
+        assert_eq!(EdgeList::try_new(2, vec![Edge::new(1, 0)]).unwrap().num_edges(), 1);
     }
 
     #[test]

@@ -14,12 +14,19 @@ use std::path::Path;
 const MAGIC: u32 = 0x4849_5041; // "HIPA"
 const VERSION: u32 = 1;
 
+/// Edges read per chunk by [`read_binary`] (512 KiB of payload): memory
+/// grows with the bytes actually present, never with the header's claim.
+const READ_CHUNK_EDGES: usize = 1 << 16;
+
+/// Largest vertex count whose ids all fit a `u32`.
+const MAX_VERTICES: u64 = 1 << 32;
+
 /// Reads a SNAP-style text edge list. Vertex count is inferred from the
 /// maximum endpoint unless a `# Nodes: <n>` comment declares it.
 pub fn read_text<R: Read>(r: R) -> io::Result<EdgeList> {
     let reader = BufReader::new(r);
     let mut edges: Vec<Edge> = Vec::new();
-    let mut declared_nodes: Option<usize> = None;
+    let mut declared_nodes: Option<u64> = None;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
@@ -28,7 +35,13 @@ pub fn read_text<R: Read>(r: R) -> io::Result<EdgeList> {
         }
         if let Some(rest) = trimmed.strip_prefix('#') {
             if let Some(n) = rest.trim().strip_prefix("Nodes:") {
-                declared_nodes = n.split_whitespace().next().and_then(|t| t.parse().ok());
+                declared_nodes = n.split_whitespace().next().and_then(|t| t.parse::<u64>().ok());
+                if declared_nodes.is_some_and(|d| d > MAX_VERTICES) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("line {}: Nodes header exceeds the u32 id space", lineno + 1),
+                    ));
+                }
             }
             continue;
         }
@@ -50,8 +63,8 @@ pub fn read_text<R: Read>(r: R) -> io::Result<EdgeList> {
         edges.push(Edge { src, dst });
     }
     let inferred = edges.iter().map(|e| e.src.max(e.dst) as usize + 1).max().unwrap_or(0);
-    let n = declared_nodes.map_or(inferred, |d| d.max(inferred));
-    Ok(EdgeList::new(n, edges))
+    let n = declared_nodes.map_or(inferred, |d| (d as usize).max(inferred));
+    EdgeList::try_new(n, edges)
 }
 
 /// Writes the text format, with a `# Nodes:` header so isolated trailing
@@ -81,16 +94,21 @@ pub fn read_binary<R: Read>(mut r: R) -> io::Result<EdgeList> {
     }
     let n = word(2) as usize;
     let m = word(3) as usize;
-    let mut buf = vec![0u8; m * 8];
-    r.read_exact(&mut buf)?;
-    let mut edges = Vec::with_capacity(m);
-    for c in buf.chunks_exact(8) {
-        edges.push(Edge {
+    // The header is untrusted: read in bounded chunks so a short file
+    // fails before its claimed edge count is ever allocated.
+    let mut buf = vec![0u8; 8 * m.min(READ_CHUNK_EDGES)];
+    let mut edges = Vec::with_capacity(m.min(READ_CHUNK_EDGES));
+    let mut left = m;
+    while left > 0 {
+        let chunk = &mut buf[..8 * left.min(READ_CHUNK_EDGES)];
+        r.read_exact(chunk)?;
+        edges.extend(chunk.chunks_exact(8).map(|c| Edge {
             src: u32::from_le_bytes(c[0..4].try_into().unwrap()),
             dst: u32::from_le_bytes(c[4..8].try_into().unwrap()),
-        });
+        }));
+        left -= chunk.len() / 8;
     }
-    Ok(EdgeList::new(n, edges))
+    EdgeList::try_new(n, edges)
 }
 
 /// Writes the binary format.
@@ -182,6 +200,24 @@ mod tests {
         write_binary(&mut buf, &el).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_binary(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn text_rejects_nodes_header_beyond_u32_ids() {
+        let err = read_text(b"# Nodes: 4294967297\n0 1\n" as &[u8]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // 2^32 vertices is the whole id space and still allowed.
+        assert_eq!(read_text(b"# Nodes: 4294967296\n" as &[u8]).unwrap().num_vertices(), 1 << 32);
+    }
+
+    #[test]
+    fn binary_out_of_range_endpoint_is_invalid_data() {
+        let mut buf = Vec::new();
+        for w in [MAGIC, VERSION, 2, 1, 0, 2] {
+            buf.extend_from_slice(&w.to_le_bytes());
+        }
+        let err = read_binary(&buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -3,15 +3,86 @@
 //! binning mode, compression mode, worker count and chunk decomposition.
 //! That builder is kept below as the test oracle: it counts, assigns slots,
 //! fills destination lists, then sorts each source partition's
-//! `(dst_part, slot, src)` triples into the PNG view. Its per-vertex
-//! message arrays are internal to it. `PcpmLayout` derives
-//! `PartialEq` over every array, so one `assert_eq!` covers the whole
-//! structure.
+//! `(dst_part, slot, src)` triples into the PNG view. It emits the classic
+//! offset form (`intra_offsets`, `dest_offsets`); `flagged` converts that to
+//! the run-encoded `PcpmLayout`. Its per-vertex message arrays are internal
+//! to it. `PcpmLayout` derives `PartialEq` over every array, so one
+//! `assert_eq!` covers the whole structure.
 
-use hipa::core::pcpm::PngPair;
+use hipa::core::pcpm::{PngPair, RUN_FLAG};
 use hipa::core::PcpmLayout;
 use hipa::graph::{Csr, DiGraph, EdgeList};
 use proptest::prelude::*;
+use std::ops::Range;
+
+/// The oracle's output: the layout with per-vertex intra offsets and
+/// per-slot destination offsets instead of run flags.
+struct OffsetLayout {
+    verts_per_partition: usize,
+    num_partitions: usize,
+    num_vertices: usize,
+    intra_offsets: Vec<u64>,
+    intra_dst: Vec<u32>,
+    part_slot_ranges: Vec<Range<u64>>,
+    dest_offsets: Vec<u64>,
+    dest_verts: Vec<u32>,
+    total_msgs: u64,
+    include_intra_in_bins: bool,
+    png_index: Vec<Range<u32>>,
+    png_pairs: Vec<PngPair>,
+    png_src: Vec<u32>,
+}
+
+/// Converts the offset form to the run encoding: flags the first entry of
+/// every non-empty intra list and every message, lists the sources with
+/// intra-edges, and cuts both streams into per-partition ranges.
+fn flagged(o: OffsetLayout) -> PcpmLayout {
+    let OffsetLayout { mut intra_dst, intra_offsets, mut dest_verts, dest_offsets, .. } = o;
+    let vpp = o.verts_per_partition;
+    let mut intra_srcs = Vec::new();
+    let mut part_intra_ranges = Vec::new();
+    let mut part_intra_src_ranges = Vec::new();
+    let mut part_dest_ranges = Vec::new();
+    for p in 0..o.num_partitions {
+        let (lo, hi) = ((p * vpp).min(o.num_vertices), ((p + 1) * vpp).min(o.num_vertices));
+        let srcs_start = intra_srcs.len() as u32;
+        for v in lo..hi {
+            if intra_offsets[v] < intra_offsets[v + 1] {
+                intra_dst[intra_offsets[v] as usize] |= RUN_FLAG;
+                intra_srcs.push(v as u32);
+            }
+        }
+        part_intra_ranges.push(intra_offsets[lo]..intra_offsets[hi]);
+        part_intra_src_ranges.push(srcs_start..intra_srcs.len() as u32);
+        let slots = o.part_slot_ranges[p].clone();
+        for k in slots.clone() {
+            dest_verts[dest_offsets[k as usize] as usize] |= RUN_FLAG;
+        }
+        part_dest_ranges.push(dest_offsets[slots.start as usize]..dest_offsets[slots.end as usize]);
+    }
+    PcpmLayout {
+        verts_per_partition: vpp,
+        num_partitions: o.num_partitions,
+        num_vertices: o.num_vertices,
+        intra_dst,
+        intra_srcs,
+        part_intra_ranges,
+        part_intra_src_ranges,
+        part_slot_ranges: o.part_slot_ranges,
+        part_dest_ranges,
+        dest_verts,
+        total_msgs: o.total_msgs,
+        include_intra_in_bins: o.include_intra_in_bins,
+        png_index: o.png_index,
+        png_pairs: o.png_pairs,
+        png_src: o.png_src,
+    }
+}
+
+/// The oracle in the layout's run-encoded form.
+fn oracle(csr: &Csr, vpp: usize, include_intra_in_bins: bool, compress_inter: bool) -> PcpmLayout {
+    flagged(build_seq_oracle(csr, vpp, include_intra_in_bins, compress_inter))
+}
 
 /// The sequential four-pass reference builder.
 fn build_seq_oracle(
@@ -19,7 +90,7 @@ fn build_seq_oracle(
     verts_per_partition: usize,
     include_intra_in_bins: bool,
     compress_inter: bool,
-) -> PcpmLayout {
+) -> OffsetLayout {
     assert!(verts_per_partition >= 1);
     let n = csr.num_vertices();
     let num_partitions = n.div_ceil(verts_per_partition).max(1);
@@ -174,7 +245,7 @@ fn build_seq_oracle(
     }
     debug_assert_eq!(src_cur, total_msgs);
 
-    PcpmLayout {
+    OffsetLayout {
         verts_per_partition,
         num_partitions,
         num_vertices: n,
@@ -228,7 +299,7 @@ fn parallel_layout_is_bit_identical_to_sequential() {
         for vpp in [1usize, 7, 16, 64, 300, 5000] {
             for binned in [false, true] {
                 for compress in [true, false] {
-                    let seq = build_seq_oracle(csr, vpp, binned, compress);
+                    let seq = oracle(csr, vpp, binned, compress);
                     for threads in [1usize, 2, 3, 4] {
                         // Chunk sizes that do not divide `vpp` put chunk
                         // boundaries inside partitions.
@@ -269,7 +340,7 @@ fn parallel_layout_on_larger_graph_default_chunking() {
     ));
     let csr = g.out_csr();
     for vpp in [64usize, 1024] {
-        let seq = build_seq_oracle(csr, vpp, false, true);
+        let seq = oracle(csr, vpp, false, true);
         for threads in [1usize, 2, 4] {
             let par = PcpmLayout::build_par_ext(csr, vpp, false, true, threads);
             assert_eq!(par, seq, "vpp={vpp} threads={threads}");
@@ -325,7 +396,7 @@ proptest! {
         let el = EdgeList::new(n, edges.into_iter().map(Into::into).collect());
         let g = DiGraph::from_edge_list(&el);
         let csr = g.out_csr();
-        let seq = build_seq_oracle(csr, vpp, binned, compress);
+        let seq = oracle(csr, vpp, binned, compress);
         let par = PcpmLayout::build_chunked(csr, vpp, binned, compress, threads, chunk);
         prop_assert_eq!(par, seq);
     }

@@ -1,9 +1,59 @@
 //! Property-based tests for the PCPM layout (compression, edge
 //! conservation, PNG/slot-view consistency) against random graphs.
 
+use hipa::core::pcpm::{run_entries, runs};
 use hipa::core::PcpmLayout;
 use hipa::graph::{Csr, DiGraph, EdgeList};
 use proptest::prelude::*;
+
+/// Every slot's destination list and every vertex's intra list, decoded
+/// from the run streams: the flags inside each partition's share of
+/// `dest_verts` and `intra_dst` are the only message and source boundaries.
+fn decode(l: &PcpmLayout) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+    let mut dests = vec![Vec::new(); l.total_msgs as usize];
+    let mut intra = vec![Vec::new(); l.num_vertices];
+    for p in 0..l.num_partitions {
+        let first_slot = l.part_slot_ranges[p].start as usize;
+        for (k, dst) in run_entries(l.inbox(p)) {
+            dests[first_slot + k].push(dst as u32);
+        }
+        let (stream, srcs) = l.intra_runs(p);
+        for (k, dst) in run_entries(stream) {
+            intra[srcs[k] as usize].push(dst as u32);
+        }
+    }
+    (dests, intra)
+}
+
+/// The same lists built from the CSR alone: per-destination slot cursors
+/// advance in source order, one slot per destination-partition run (per
+/// inter-edge without compression).
+fn expected_lists(
+    csr: &Csr,
+    l: &PcpmLayout,
+    binned: bool,
+    compress: bool,
+) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+    let mut dests = vec![Vec::new(); l.total_msgs as usize];
+    let mut intra = vec![Vec::new(); l.num_vertices];
+    let mut cursors: Vec<u64> = l.part_slot_ranges.iter().map(|r| r.start).collect();
+    for v in 0..l.num_vertices as u32 {
+        let mut last = usize::MAX;
+        for &t in csr.neighbors(v) {
+            let q = l.partition_of(t);
+            if q == l.partition_of(v) && !binned {
+                intra[v as usize].push(t);
+                continue;
+            }
+            if q != last || !compress {
+                last = q;
+                cursors[q] += 1;
+            }
+            dests[cursors[q] as usize - 1].push(t);
+        }
+    }
+    (dests, intra)
+}
 
 fn graph_strategy() -> impl Strategy<Value = EdgeList> {
     (2usize..200, prop::collection::vec((0u32..200, 0u32..200), 0..800)).prop_map(|(n, pairs)| {
@@ -84,16 +134,51 @@ proptest! {
     fn destinations_respect_partitions(el in graph_strategy(), vpp in 1usize..48) {
         let csr = Csr::from_edge_list(&el);
         let l = PcpmLayout::build(&csr, vpp, false);
+        let (dests, intra) = decode(&l);
         for q in 0..l.num_partitions {
             for k in l.part_slot_ranges[q].clone() {
-                for &dst in l.dests_of(k) {
+                for &dst in &dests[k as usize] {
                     prop_assert_eq!(l.partition_of(dst), q);
                 }
             }
         }
         for v in 0..l.num_vertices as u32 {
-            for &dst in l.intra_of(v) {
+            for &dst in &intra[v as usize] {
                 prop_assert_eq!(l.partition_of(dst), l.partition_of(v));
+            }
+        }
+    }
+
+    /// Decoding both run streams reproduces every slot's destination list
+    /// and every vertex's intra list, in all four layout modes and with
+    /// one-vertex partitions, where every edge is an inter-edge. The run
+    /// view and the branch-free decode see the same runs.
+    #[test]
+    fn run_streams_round_trip(el in graph_strategy(), vpp in 2usize..48) {
+        let csr = Csr::from_edge_list(&el);
+        for vpp in [1, vpp] {
+            for binned in [false, true] {
+                for compress in [false, true] {
+                    let l = PcpmLayout::build_ext(&csr, vpp, binned, compress);
+                    let (dests, intra) = decode(&l);
+                    let (want_dests, want_intra) = expected_lists(&csr, &l, binned, compress);
+                    prop_assert_eq!(&dests, &want_dests,
+                        "vpp={} binned={} compress={}", vpp, binned, compress);
+                    prop_assert_eq!(&intra, &want_intra,
+                        "vpp={} binned={} compress={}", vpp, binned, compress);
+                    if vpp == 1 {
+                        prop_assert!(l.intra_dst.is_empty() && l.intra_srcs.is_empty());
+                    }
+                    for q in 0..l.num_partitions {
+                        let slots = l.part_slot_ranges[q].clone();
+                        let by_run: Vec<usize> = runs(l.inbox(q)).map(|r| r.len()).collect();
+                        let by_slot: Vec<usize> =
+                            slots.map(|k| dests[k as usize].len()).collect();
+                        prop_assert_eq!(by_run, by_slot);
+                        let (stream, srcs) = l.intra_runs(q);
+                        prop_assert_eq!(runs(stream).count(), srcs.len());
+                    }
+                }
             }
         }
     }
