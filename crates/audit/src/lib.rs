@@ -3,7 +3,7 @@
 //! Every native engine's hot path rests on one hand-upheld invariant:
 //! `SharedSlice` writes are structurally disjoint per thread (see
 //! `crates/core/src/disjoint.rs` and DESIGN.md §10). This crate enforces the
-//! *static* half of that contract with seven lint rules over a hand-rolled
+//! *static* half of that contract with eight lint rules over a hand-rolled
 //! lexer (no `syn`, no registry access):
 //!
 //! 1. every `unsafe` block/fn/impl carries a `SAFETY:` comment (or a
@@ -22,7 +22,10 @@
 //!    `check-hb` race detector cannot see its fork/join edges;
 //! 7. every `//! disjointness:` header names (in backticks) a plan symbol
 //!    that is actually defined somewhere in the tree — a cross-file check,
-//!    so stale contracts citing deleted partitioners are caught.
+//!    so stale contracts citing deleted partitioners are caught;
+//! 8. unchecked indexing (`get_unchecked`, `get_unchecked_mut`, the
+//!    `SharedSlice` `*_unchecked` accessors) stays in the modules that hold
+//!    the check bounding it (`pcpm.rs`, `disjoint.rs`, the vendored shims).
 //!
 //! The *dynamic* half is the `check-disjoint` / `check-hb` features on
 //! `hipa-core`: `SharedSlice` keeps per-element shadow state checked against

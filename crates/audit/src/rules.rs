@@ -6,11 +6,12 @@
 //! appearing in a file (not on resolved method receivers), rule 4 keys on
 //! `Ordering::<variant>` token paths (the atomic variant names do not
 //! collide with `std::cmp::Ordering`'s), rule 6 keys on `thread::<name>`
-//! token paths, and rule 7 resolves plan symbols against the set of
+//! token paths, rule 7 resolves plan symbols against the set of
 //! identifiers that follow a definition keyword anywhere in the scanned
-//! tree (see [`collect_definitions`]).
+//! tree (see [`collect_definitions`]), and rule 8 keys on the unchecked
+//! accessor names, whatever their receiver.
 //!
-//! Rules 1–6 are per-file ([`check_file`]). Rule 7 is the one *cross-file*
+//! Rules 1–6 and 8 are per-file ([`check_file`]). Rule 7 is the one *cross-file*
 //! check ([`check_plan_symbols`]): the driver collects definitions over the
 //! whole tree first, then validates every contract header against them.
 
@@ -33,6 +34,7 @@ pub const RULE_ORDERING: &str = "atomic-ordering-discipline";
 pub const RULE_STATIC_MUT: &str = "no-static-mut-or-no-mangle";
 pub const RULE_BARE_THREAD: &str = "no-bare-std-thread";
 pub const RULE_PLAN_SYMBOL: &str = "disjointness-plan-symbol-exists";
+pub const RULE_UNCHECKED_INDEX: &str = "unchecked-index-confinement";
 
 /// Modules allowed to contain raw-pointer casts, `transmute`, or
 /// `UnsafeCell`: the one audited aliasing primitive, the prefetch-hint
@@ -101,6 +103,28 @@ pub const BARE_THREAD_ALLOWLIST: &[(&str, &str)] = &[
         "crates/bench/benches/pool.rs",
         "benchmark baseline: measures a bare-thread scope against the shim pool, so the \
          bare side must stay bare",
+    ),
+];
+
+/// The unchecked element accessors rule 8 confines: the slice methods and
+/// `SharedSlice`'s unchecked counterparts of `get`/`write`/`update`.
+const UNCHECKED_ACCESSORS: &[&str] =
+    &["get_unchecked", "get_unchecked_mut", "write_unchecked", "update_unchecked"];
+
+/// Sites allowed to index without a bounds check (rule 8), as (path
+/// pattern, justification) pairs. An unchecked index is only as sound as
+/// the proof that bounds it, so the accessors stay next to that proof.
+pub const UNCHECKED_INDEX_ALLOWLIST: &[(&str, &str)] = &[
+    (
+        "crates/core/src/pcpm.rs",
+        "the PCPM kernels: `PcpmLayout::kernels` checks every run stream once and each \
+         kernel asserts its buffer lengths at entry, in this module (DESIGN.md §10)",
+    ),
+    ("crates/core/src/disjoint.rs", "defines the `SharedSlice` unchecked accessors"),
+    ("crates/shims/", "vendored third-party stand-ins, reviewed as a unit"),
+    (
+        "tests/check_hb.rs",
+        "checker negative control: a race through the unchecked read must still panic",
     ),
 ];
 
@@ -482,8 +506,34 @@ pub fn check_plan_symbols(path: &str, lx: &Lexed, defs: &BTreeSet<String>) -> Ve
     out
 }
 
-/// Runs the six per-file rules over one file. Rule 7 needs the whole tree's
-/// definition set — the driver runs [`check_plan_symbols`] separately.
+/// Rule 8: unchecked indexing (`get_unchecked`, `get_unchecked_mut`, and
+/// `SharedSlice::{get,write,update}_unchecked`) is confined to
+/// [`UNCHECKED_INDEX_ALLOWLIST`], so every index that skips its bounds
+/// check sits in the module holding the check that bounds it.
+pub fn check_unchecked_index(path: &str, lx: &Lexed) -> Vec<Finding> {
+    if UNCHECKED_INDEX_ALLOWLIST.iter().any(|(pat, _)| path_matches(path, pat)) {
+        return Vec::new();
+    }
+    lx.tokens
+        .iter()
+        .filter(|t| UNCHECKED_ACCESSORS.contains(&t.text.as_str()))
+        .map(|t| Finding {
+            file: path.to_string(),
+            line: t.line,
+            rule: RULE_UNCHECKED_INDEX,
+            msg: format!(
+                "`{}` outside the modules that bound their indices: index through a checked \
+                 accessor, or move the loop behind a one-time check (`PcpmKernels`) and \
+                 register the site in UNCHECKED_INDEX_ALLOWLIST",
+                t.text
+            ),
+        })
+        .collect()
+}
+
+/// Runs the seven per-file rules over one file. Rule 7 needs the whole
+/// tree's definition set — the driver runs [`check_plan_symbols`]
+/// separately.
 pub fn check_file(path: &str, lx: &Lexed) -> Vec<Finding> {
     let mut out = check_unsafe_safety(path, lx);
     out.extend(check_raw_ptr_confinement(path, lx));
@@ -491,6 +541,7 @@ pub fn check_file(path: &str, lx: &Lexed) -> Vec<Finding> {
     out.extend(check_ordering_discipline(path, lx));
     out.extend(check_static_mut(path, lx));
     out.extend(check_bare_thread(path, lx));
+    out.extend(check_unchecked_index(path, lx));
     out
 }
 
@@ -646,6 +697,20 @@ mod tests {
         // A prose *mention* mid-sentence is not a header and never fires.
         let mention = "//! files carry a `//! disjointness:` header (see DESIGN.md).\nfn f() {}\n";
         assert!(check_plan_symbols("x.rs", &lex(mention), &defs).is_empty());
+    }
+
+    #[test]
+    fn unchecked_accessors_are_confined() {
+        let src = "fn f(x: &[u32], s: &S) {\n    let a = x.get_unchecked(0);\n    \
+                   s.write_unchecked(1, a);\n}\n";
+        let f = check_unchecked_index("crates/algos/src/spmv.rs", &lex(src));
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|x| x.rule == RULE_UNCHECKED_INDEX));
+        assert!(check_unchecked_index("crates/core/src/pcpm.rs", &lex(src)).is_empty());
+        assert!(check_unchecked_index("crates/shims/rayon/src/pool.rs", &lex(src)).is_empty());
+        // Checked accessors and prose mentions never fire.
+        let ok = "// get_unchecked would skip the check\nfn f(x: &[u32]) { x.get(0); }\n";
+        assert!(check_unchecked_index("crates/algos/src/spmv.rs", &lex(ok)).is_empty());
     }
 
     #[test]

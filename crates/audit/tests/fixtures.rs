@@ -4,7 +4,7 @@
 
 use hipa_audit::rules::{
     RULE_BARE_THREAD, RULE_DISJOINTNESS, RULE_ORDERING, RULE_PLAN_SYMBOL, RULE_RAW_PTR,
-    RULE_STATIC_MUT, RULE_UNSAFE_SAFETY,
+    RULE_STATIC_MUT, RULE_UNCHECKED_INDEX, RULE_UNSAFE_SAFETY,
 };
 use std::path::{Path, PathBuf};
 
@@ -73,6 +73,15 @@ fn stale_plan_fixture_trips_rule_7_only() {
 }
 
 #[test]
+fn unchecked_index_fixture_trips_rule_8_only() {
+    let findings = hipa_audit::audit_source("unchecked_index.rs", &fixture("unchecked_index.rs"));
+    assert!(findings.iter().all(|f| f.rule == RULE_UNCHECKED_INDEX), "{findings:?}");
+    // get_unchecked, get_unchecked_mut, write_unchecked and update_unchecked
+    // each fire once.
+    assert_eq!(findings.len(), 4, "{findings:?}");
+}
+
+#[test]
 fn clean_fixture_is_clean() {
     assert!(rules_fired("clean.rs").is_empty());
 }
@@ -109,6 +118,7 @@ fn audit_binary_exits_nonzero_on_seeded_violations() {
         "static_mut.rs",
         "bare_thread.rs",
         "stale_plan.rs",
+        "unchecked_index.rs",
     ] {
         std::fs::write(src_dir.join(name), fixture(name)).unwrap();
     }
@@ -127,6 +137,7 @@ fn audit_binary_exits_nonzero_on_seeded_violations() {
             RULE_STATIC_MUT,
             RULE_BARE_THREAD,
             RULE_PLAN_SYMBOL,
+            RULE_UNCHECKED_INDEX,
         ]
         .into_iter()
         .collect()

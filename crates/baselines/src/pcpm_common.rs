@@ -33,8 +33,8 @@ use crate::common::{base_value, dangling_mass, inv_deg_array_par};
 use hipa_core::convergence;
 use hipa_core::disjoint::SharedSlice;
 use hipa_core::hb::ClaimCounter;
-use hipa_core::pcpm::{run_entries, run_vertex, runs};
-use hipa_core::prefetch::{prefetch_read, LineFilter, PREFETCH_DISTANCE};
+use hipa_core::pcpm::{run_vertex, runs};
+use hipa_core::prefetch::{LineFilter, PREFETCH_DISTANCE};
 use hipa_core::{
     DanglingPolicy, NativeOpts, NativeRun, PageRankConfig, PcpmLayout, SimOpts, SimRun,
 };
@@ -112,6 +112,7 @@ pub fn run_native(
         true,
         build_threads,
     );
+    let kernels = layout.kernels(build_threads);
     let inv_deg = inv_deg_array_par(g, build_threads);
     // One persistent pool of `threads` resident workers for the whole run
     // (see the module docs); construction is part of the setup cost.
@@ -139,16 +140,17 @@ pub fn run_native(
         // --- Scatter region: FCFS partition claiming on the pool ---
         let scatter_t = rec.start();
         {
-            let rank = &rank;
+            let rank_s = SharedSlice::new(&mut rank);
             let acc_s = SharedSlice::new(&mut acc);
             let vals_s = SharedSlice::new(&mut vals);
             let counter = ClaimCounter::new();
             pool.scope(|scope| {
                 for j in 0..threads {
+                    let rank_s = &rank_s;
                     let acc_s = &acc_s;
                     let vals_s = &vals_s;
                     let counter = &counter;
-                    let layout = &layout;
+                    let kernels = &kernels;
                     let inv_deg = &inv_deg;
                     let rec = &rec;
                     let claims_counter = claims_counter.clone();
@@ -166,37 +168,12 @@ pub fn run_native(
                                 break;
                             }
                             claims += 1;
-                            // One branch-free pass over p's intra stream;
-                            // each entry recomputes its source's value.
-                            let (stream, srcs) = layout.intra_runs(p);
-                            for (i, dst) in run_entries(stream) {
-                                let v = srcs[i] as usize;
-                                let val = rank[v] * inv_deg[v];
-                                // SAFETY: intra destinations lie in partition
-                                // p, which this thread exclusively claimed.
-                                unsafe { acc_s.update(dst, |a| *a += val) };
-                            }
-                            for pair in layout.png_of(p) {
-                                let srcs = layout.png_sources(pair);
-                                // Warm the bin write cursor once per pair,
-                                // run ahead on the random rank/inv_deg reads.
-                                if do_prefetch {
-                                    vals_s.prefetch(pair.slot_start as usize);
-                                }
-                                let mut pf = LineFilter::new();
-                                for (k, &src) in srcs.iter().enumerate() {
-                                    if do_prefetch {
-                                        if let Some(&ahead) = srcs.get(k + PREFETCH_DISTANCE) {
-                                            if pf.admit(ahead as usize) {
-                                                prefetch_read(rank, ahead as usize);
-                                                prefetch_read(inv_deg, ahead as usize);
-                                            }
-                                        }
-                                    }
-                                    let val = rank[src as usize] * inv_deg[src as usize];
-                                    // SAFETY: one writer per slot.
-                                    unsafe { vals_s.write(pair.slot_start as usize + k, val) };
-                                }
+                            // SAFETY: p was claimed exclusively by this
+                            // thread: its vertices (acc writes; rank is read
+                            // only in this region) and its PNG bins' slots.
+                            unsafe {
+                                kernels.scatter_intra(p, rank_s, inv_deg, acc_s);
+                                kernels.scatter_bins(p, rank_s, inv_deg, vals_s, do_prefetch);
                             }
                         }
                         spans.end(span_t, "scatter", it);
@@ -214,7 +191,7 @@ pub fn run_native(
         {
             let rank_s = SharedSlice::new(&mut rank);
             let acc_s = SharedSlice::new(&mut acc);
-            let vals = &vals;
+            let vals_s = SharedSlice::new(&mut vals);
             let partials_s = SharedSlice::new(&mut partials);
             let deltas_s = SharedSlice::new(&mut delta_parts);
             let counter = ClaimCounter::new();
@@ -222,10 +199,12 @@ pub fn run_native(
                 for j in 0..threads {
                     let rank_s = &rank_s;
                     let acc_s = &acc_s;
+                    let vals_s = &vals_s;
                     let partials_s = &partials_s;
                     let deltas_s = &deltas_s;
                     let counter = &counter;
                     let layout = &layout;
+                    let kernels = &kernels;
                     let rec = &rec;
                     let claims_counter = claims_counter.clone();
                     scope.spawn(move |_| {
@@ -241,26 +220,9 @@ pub fn run_native(
                                 break;
                             }
                             claims += 1;
-                            // One branch-free pass over q's inbox: run k
-                            // of the stream is slot `first_slot + k`.
-                            let first_slot = layout.part_slot_ranges[q].start as usize;
-                            let inbox = layout.inbox(q);
-                            let mut pf = LineFilter::new();
-                            for (e, (k, dst)) in run_entries(inbox).enumerate() {
-                                // Run ahead on the stream: warm the
-                                // accumulator `PREFETCH_DISTANCE` entries out.
-                                if do_prefetch {
-                                    if let Some(&ahead) = inbox.get(e + PREFETCH_DISTANCE) {
-                                        if pf.admit(run_vertex(ahead)) {
-                                            acc_s.prefetch(run_vertex(ahead));
-                                        }
-                                    }
-                                }
-                                let val = vals[first_slot + k];
-                                // SAFETY: destinations lie in q, claimed
-                                // exclusively by this thread.
-                                unsafe { acc_s.update(dst, |a| *a += val) };
-                            }
+                            // SAFETY: q was claimed exclusively by this
+                            // thread; vals is only read in this region.
+                            unsafe { kernels.gather(q, vals_s, acc_s, do_prefetch) };
                             let vr = layout.partition_vertices(q);
                             let mut delta = 0.0f64;
                             for v in vr.start as usize..vr.end as usize {

@@ -35,7 +35,11 @@
 //! predecessor zeroed an `O(len)` table on every construction; serve and
 //! SpMV build fresh slices per phase, so construction is now O(1) amortised
 //! — see `crate::hb` for the cost model). Debug builds additionally verify
-//! bounds on every access. With the features off, the shadow machinery does
+//! bounds on every access. The `*_unchecked` accessors drop the release-mode
+//! bounds check for loops whose indices one check bounded up front (the
+//! PCPM kernels, `crate::pcpm::PcpmKernels`); `hipa-audit` confines them to
+//! that module, and they keep the shadow hooks and the debug bound. With the
+//! features off, the shadow machinery does
 //! not exist: accesses compile to a single raw-pointer read/write, and
 //! ranks are bitwise identical either way (the shadow state never feeds the
 //! arithmetic).
@@ -165,6 +169,55 @@ impl<'a, T> SharedSlice<'a, T> {
         // duration of `f`.
         unsafe { f(&mut *self.data[i].get()) };
     }
+
+    /// [`Self::write`] without the release-mode bounds check, for kernels
+    /// whose indices a one-time check already bounded (the PCPM kernels in
+    /// `crate::pcpm`). The race-checker hooks and the debug bound stay.
+    ///
+    /// # Safety
+    /// `i < self.len()`, plus [`Self::write`]'s contract.
+    #[inline(always)]
+    pub unsafe fn write_unchecked(&self, i: usize, value: T) {
+        debug_assert!(i < self.data.len());
+        #[cfg(feature = "check-disjoint")]
+        self.shadow.on_write(i);
+        // SAFETY: the caller guarantees `i` is in bounds and exclusive
+        // access to element `i`.
+        unsafe { *self.data.get_unchecked(i).get() = value };
+    }
+
+    /// [`Self::get`] without the release-mode bounds check (see
+    /// [`Self::write_unchecked`]).
+    ///
+    /// # Safety
+    /// `i < self.len()`, plus [`Self::get`]'s contract.
+    #[inline(always)]
+    pub unsafe fn get_unchecked(&self, i: usize) -> T
+    where
+        T: Copy,
+    {
+        debug_assert!(i < self.data.len());
+        #[cfg(feature = "check-hb")]
+        self.shadow.on_read(i);
+        // SAFETY: the caller guarantees `i` is in bounds and no concurrent
+        // writer for element `i`.
+        unsafe { *self.data.get_unchecked(i).get() }
+    }
+
+    /// [`Self::update`] without the release-mode bounds check (see
+    /// [`Self::write_unchecked`]).
+    ///
+    /// # Safety
+    /// `i < self.len()`, plus [`Self::update`]'s contract.
+    #[inline(always)]
+    pub unsafe fn update_unchecked(&self, i: usize, f: impl FnOnce(&mut T)) {
+        debug_assert!(i < self.data.len());
+        #[cfg(feature = "check-disjoint")]
+        self.shadow.on_write(i);
+        // SAFETY: the caller guarantees `i` is in bounds and exclusive
+        // access to element `i` for the duration of `f`.
+        unsafe { f(&mut *self.data.get_unchecked(i).get()) };
+    }
 }
 
 #[cfg(test)]
@@ -186,6 +239,21 @@ mod tests {
             assert_eq!(unsafe { s.get(3) }, 7);
         }
         assert_eq!(v, vec![0, 2, 4, 7, 8, 10, 12, 14]);
+    }
+
+    #[test]
+    fn unchecked_accessors_roundtrip() {
+        let mut v = vec![0u32; 4];
+        {
+            let s = SharedSlice::new(&mut v);
+            // SAFETY: single-threaded, and every index is below 4.
+            unsafe {
+                s.write_unchecked(0, 5);
+                s.update_unchecked(3, |x| *x += 2);
+                assert_eq!(s.get_unchecked(0), 5);
+            }
+        }
+        assert_eq!(v, vec![5, 0, 0, 2]);
     }
 
     #[test]
@@ -241,6 +309,44 @@ mod tests {
                         // SAFETY: deliberately overlapping — the checker
                         // must catch this (bounds are still valid).
                         unsafe { s.write(7, 0) };
+                    }))
+                    .expect_err("overlap must panic");
+                    err.downcast_ref::<String>().cloned().expect("string payload")
+                })
+                .join()
+                .expect("second writer caught its panic")
+        });
+        assert!(
+            msg.contains("check-disjoint: overlapping SharedSlice write at index 7"),
+            "unexpected message: {msg}"
+        );
+    }
+
+    /// The unchecked accessors keep the shadow hooks: the same overlap as
+    /// above, through `write_unchecked` and then `update_unchecked`, panics
+    /// on the second writer.
+    #[cfg(feature = "check-disjoint")]
+    #[test]
+    fn overlapping_unchecked_writes_panic_under_check_disjoint() {
+        let n = 64;
+        let mut v = vec![0usize; n];
+        let s = SharedSlice::new(&mut v);
+        let msg = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    for i in 0..n {
+                        // SAFETY: sole writer so far; `i < n`.
+                        unsafe { s.write_unchecked(i, i) };
+                    }
+                })
+                .join()
+                .expect("first writer completes");
+            scope
+                .spawn(|| {
+                    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        // SAFETY: deliberately overlapping — the checker
+                        // must catch this (7 < n).
+                        unsafe { s.update_unchecked(7, |x| *x += 1) };
                     }))
                     .expect_err("overlap must panic");
                     err.downcast_ref::<String>().cloned().expect("string payload")

@@ -32,8 +32,7 @@ use crate::config::{DanglingPolicy, PageRankConfig};
 use crate::convergence;
 use crate::disjoint::SharedSlice;
 use crate::hb::TrackedBarrier;
-use crate::pcpm::{run_entries, run_vertex, PcpmLayout};
-use crate::prefetch::{prefetch_read, LineFilter, PREFETCH_DISTANCE};
+use crate::pcpm::PcpmLayout;
 use crate::runs::{NativeOpts, NativeRun};
 use hipa_graph::{DiGraph, VERTEX_BYTES};
 use hipa_obs::{PoolCounters, Recorder, TraceMeta, PATH_NATIVE, RUN_LEVEL};
@@ -83,6 +82,7 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
     let prefix = crate::par::degree_prefix_parallel(g.out_degrees(), build_threads);
     let plan = hipa_plan_with_prefix(&prefix, 1, threads, vpp);
     let layout = PcpmLayout::build_par_ext(g.out_csr(), vpp, false, true, build_threads);
+    let kernels = layout.kernels(build_threads);
     let inv_deg = crate::par::inv_deg_parallel(g, build_threads);
     let preprocess = t0.elapsed();
 
@@ -132,6 +132,7 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                 let ctrl_s = &ctrl_s;
                 let barrier = &barrier;
                 let layout = &layout;
+                let kernels = &kernels;
                 let inv_deg = &inv_deg;
                 let rec = &rec;
                 let parts = thread_parts[j].clone();
@@ -148,43 +149,12 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                         // sequential bin write per destination (PNG view) ---
                         let scatter_t = spans.start();
                         for p in parts.clone() {
-                            // One branch-free pass over the partition's intra
-                            // stream; each entry recomputes its source's
-                            // contribution (same operands, same value).
-                            let (stream, srcs) = layout.intra_runs(p);
-                            for (i, dst) in run_entries(stream) {
-                                let v = srcs[i] as usize;
-                                // SAFETY: v is in this thread's own range.
-                                let val = unsafe { rank_s.get(v) } * inv_deg[v];
-                                // SAFETY: intra destinations stay inside this
-                                // thread's own partitions.
-                                unsafe { acc_s.update(dst, |a| *a += val) };
-                            }
-                            for pair in layout.png_of(p) {
-                                let srcs = layout.png_sources(pair);
-                                if do_prefetch {
-                                    // Warm this bin's write cursor: the slot
-                                    // run starts on a cold line per pair.
-                                    vals_s.prefetch(pair.slot_start as usize);
-                                }
-                                let mut pf = LineFilter::new();
-                                for (k, &src) in srcs.iter().enumerate() {
-                                    if do_prefetch {
-                                        if let Some(&ahead) = srcs.get(k + PREFETCH_DISTANCE) {
-                                            if pf.admit(ahead as usize) {
-                                                rank_s.prefetch(ahead as usize);
-                                                prefetch_read(inv_deg, ahead as usize);
-                                            }
-                                        }
-                                    }
-                                    // SAFETY: src is in this thread's range
-                                    // and rank is only written post-barrier.
-                                    let r = unsafe { rank_s.get(src as usize) };
-                                    let val = r * inv_deg[src as usize];
-                                    // SAFETY: each PNG slot has exactly one
-                                    // writer — the source partition's owner.
-                                    unsafe { vals_s.write(pair.slot_start as usize + k, val) };
-                                }
+                            // SAFETY: this thread owns p: its vertices (acc
+                            // writes; rank is written only after the
+                            // barrier) and the slots of its PNG bins.
+                            unsafe {
+                                kernels.scatter_intra(p, rank_s, inv_deg, acc_s);
+                                kernels.scatter_bins(p, rank_s, inv_deg, vals_s, do_prefetch);
                             }
                         }
                         spans.end(scatter_t, "scatter", it);
@@ -195,28 +165,9 @@ pub fn run(g: &DiGraph, cfg: &PageRankConfig, opts: &NativeOpts) -> NativeRun {
                         let mut dpart = 0.0f64;
                         let mut delta = 0.0f64;
                         for q in parts.clone() {
-                            // One branch-free pass over q's inbox: run k
-                            // of the stream is slot `first_slot + k`.
-                            let first_slot = layout.part_slot_ranges[q].start as usize;
-                            let inbox = layout.inbox(q);
-                            let mut pf = LineFilter::new();
-                            for (e, (k, dst)) in run_entries(inbox).enumerate() {
-                                if do_prefetch {
-                                    // Run ahead on the stream: warm the
-                                    // accumulator PREFETCH_DISTANCE entries
-                                    // out (each line once).
-                                    if let Some(&ahead) = inbox.get(e + PREFETCH_DISTANCE) {
-                                        if pf.admit(run_vertex(ahead)) {
-                                            acc_s.prefetch(run_vertex(ahead));
-                                        }
-                                    }
-                                }
-                                // SAFETY: the inbox of q is only read by q's
-                                // owner after the scatter barrier.
-                                let val = unsafe { vals_s.get(first_slot + k) };
-                                // SAFETY: dest vertices lie inside q.
-                                unsafe { acc_s.update(dst, |a| *a += val) };
-                            }
+                            // SAFETY: this thread owns q's vertices, and q's
+                            // slots are only read after the scatter barrier.
+                            unsafe { kernels.gather(q, vals_s, acc_s, do_prefetch) };
                             let vr = layout.partition_vertices(q);
                             for v in vr.start as usize..vr.end as usize {
                                 // SAFETY: own range.

@@ -30,15 +30,28 @@
 //! No per-slot or per-vertex offsets exist: a kernel decodes a partition's
 //! stream in one branch-free pass ([`run_entries`]), 4 bytes per edge.
 //!
+//! The native hot loops of HiPa, p-PR and GPOP — intra scatter, PNG bin
+//! scatter and inbox gather, with their prefetch hints — live here, in
+//! [`PcpmKernels`]. They are checked once, not per entry:
+//! [`PcpmLayout::kernels`] walks every stream once on the build workers and
+//! asserts the invariants the loops index by (entries and sources inside
+//! their partition, one leading-flagged run per slot or intra source, slots
+//! below `total_msgs`). Each kernel then asserts its buffer lengths once at
+//! entry and indexes unchecked. The view borrows the layout, so the checked
+//! streams cannot change under it. The simulators keep decoding through
+//! [`runs`] with checked indexing.
+//!
 //! disjointness: build-chunk plan (`chunk_plan`) — every chunk is a vertex
 //! range inside one partition, claimed once per pass via `run_indexed`. The
 //! count pass writes only the chunk's own count-matrix row; the fill pass
 //! writes only the intra, intra-source, destination and PNG-source cursor
 //! blocks the sequential scans reserved for it. Each `SharedSlice` lives
-//! for a single pass.
+//! for a single pass. The kernels write only the accumulators and slots of
+//! the partition their caller owns under its engine's plan.
 
 use crate::disjoint::SharedSlice;
 use crate::par::run_indexed;
+use crate::prefetch::{prefetch_read, LineFilter, PREFETCH_DISTANCE};
 use hipa_graph::Csr;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -581,6 +594,221 @@ impl PcpmLayout {
     pub fn total_edges(&self) -> u64 {
         self.intra_dst.len() as u64 + self.dest_verts.len() as u64
     }
+
+    /// Checks every partition's run streams once, on `threads` workers (one
+    /// partition per item), and returns the view that runs the native
+    /// scatter/gather loops over them without per-entry bounds checks.
+    ///
+    /// # Panics
+    /// When a stream breaks an invariant the kernels index by; the message
+    /// names the partition and the invariant.
+    pub fn kernels(&self, threads: usize) -> PcpmKernels<'_> {
+        run_indexed(self.num_partitions, threads, |p| self.check_partition(p));
+        PcpmKernels { layout: self }
+    }
+
+    /// The invariants [`PcpmKernels`] relies on, for partition `p`: every
+    /// stream entry, intra source and PNG source is a vertex of `p`; each
+    /// stream has exactly one flagged run per slot or intra source and opens
+    /// with one; every slot it names lies below `total_msgs`.
+    fn check_partition(&self, p: usize) {
+        let lo = p.saturating_mul(self.verts_per_partition).min(self.num_vertices);
+        let hi =
+            p.saturating_add(1).saturating_mul(self.verts_per_partition).min(self.num_vertices);
+        let in_p = |v: usize| v.wrapping_sub(lo) < hi - lo;
+        let check_stream = |what: &str, stream: &[u32], runs: u64, owner: &str| {
+            let (mut flags, mut outside) = (0u64, false);
+            for &e in stream {
+                flags += (e >> 31) as u64;
+                outside |= !in_p(run_vertex(e));
+            }
+            assert!(!outside, "partition {p}: {what} entry outside the partition");
+            assert!(
+                stream.first().is_none_or(|&e| e & RUN_FLAG != 0),
+                "partition {p}: {what} stream does not open with RUN_FLAG"
+            );
+            assert_eq!(flags, runs, "partition {p}: {what} RUN_FLAG count != {owner}");
+        };
+
+        let slots = &self.part_slot_ranges[p];
+        assert!(
+            slots.start <= slots.end && slots.end <= self.total_msgs,
+            "partition {p}: slot range {slots:?} ends past total_msgs {}",
+            self.total_msgs
+        );
+        check_stream("inbox", self.inbox(p), slots.end - slots.start, "slot count");
+
+        let (stream, srcs) = self.intra_runs(p);
+        check_stream("intra", stream, srcs.len() as u64, "intra source count");
+        assert!(
+            srcs.iter().all(|&v| in_p(v as usize)),
+            "partition {p}: intra source outside the partition"
+        );
+
+        for pair in self.png_of(p) {
+            assert!(
+                pair.slot_start.checked_add(pair.len as u64).is_some_and(|e| e <= self.total_msgs),
+                "partition {p}: PNG bin {pair:?} runs past total_msgs {}",
+                self.total_msgs
+            );
+            assert!(
+                self.png_sources(pair).iter().all(|&v| in_p(v as usize)),
+                "partition {p}: PNG source outside the partition"
+            );
+        }
+    }
+}
+
+/// The native PCPM scatter/gather kernels, shared by HiPa, p-PR and GPOP:
+/// a borrow of a layout whose streams passed [`PcpmLayout::kernels`]'s
+/// check. The kernels index without per-entry bounds checks. The check
+/// bounded every index they derive from the streams, and each kernel asserts
+/// its buffer lengths once at entry. The shared borrow keeps the checked
+/// layout immutable for as long as the view exists (`PcpmLayout` has no
+/// interior mutability), so no safe code can reach an unchecked index
+/// without passing the check.
+///
+/// Accumulation order is the stream order, the same as the simulated paths,
+/// so ranks are bitwise identical across engines' native and sim runs.
+#[derive(Debug, Clone, Copy)]
+pub struct PcpmKernels<'a> {
+    layout: &'a PcpmLayout,
+}
+
+impl PcpmKernels<'_> {
+    #[inline]
+    fn assert_vertex_buffer(&self, what: &str, len: usize) {
+        let n = self.layout.num_vertices;
+        assert_eq!(len, n, "PCPM kernel: {what} holds {len} entries for {n} vertices");
+    }
+
+    #[inline]
+    fn assert_slot_buffer(&self, len: usize) {
+        let m = self.layout.total_msgs;
+        assert_eq!(len as u64, m, "PCPM kernel: vals holds {len} entries for {m} slots");
+    }
+
+    /// Intra scatter of partition `p`: adds every intra source's
+    /// contribution `rank[v] * inv_deg[v]` into the accumulators of its
+    /// same-partition destinations, in stream order.
+    ///
+    /// # Safety
+    /// The caller owns partition `p`: no other thread accesses `acc` at
+    /// `p`'s vertices or writes `rank` there until this returns.
+    pub unsafe fn scatter_intra(
+        &self,
+        p: usize,
+        rank: &SharedSlice<f32>,
+        inv_deg: &[f32],
+        acc: &SharedSlice<f32>,
+    ) {
+        self.assert_vertex_buffer("rank", rank.len());
+        self.assert_vertex_buffer("inv_deg", inv_deg.len());
+        self.assert_vertex_buffer("acc", acc.len());
+        let (stream, srcs) = self.layout.intra_runs(p);
+        for (i, dst) in run_entries(stream) {
+            // SAFETY: the check gave the stream one flagged run per intra
+            // source, opening with one, so `i < srcs.len()`; it put every
+            // source and destination in `p`, below `num_vertices`, which the
+            // asserts above made every buffer's length. The caller owns `p`.
+            unsafe {
+                let v = *srcs.get_unchecked(i) as usize;
+                let val = rank.get_unchecked(v) * *inv_deg.get_unchecked(v);
+                acc.update_unchecked(dst, |a| *a += val);
+            }
+        }
+    }
+
+    /// PNG scatter of partition `p`: writes every message's contribution
+    /// into its slot, one sequential bin per destination partition.
+    /// `prefetch` arms the hints that warm each bin's write cursor and run
+    /// [`PREFETCH_DISTANCE`] sources ahead on the random reads.
+    ///
+    /// # Safety
+    /// The caller owns partition `p` — and with it the slots of `p`'s bins:
+    /// no other thread accesses those slots or writes `rank` at `p`'s
+    /// vertices until this returns.
+    pub unsafe fn scatter_bins(
+        &self,
+        p: usize,
+        rank: &SharedSlice<f32>,
+        inv_deg: &[f32],
+        vals: &SharedSlice<f32>,
+        prefetch: bool,
+    ) {
+        self.assert_vertex_buffer("rank", rank.len());
+        self.assert_vertex_buffer("inv_deg", inv_deg.len());
+        self.assert_slot_buffer(vals.len());
+        for pair in self.layout.png_of(p) {
+            let srcs = self.layout.png_sources(pair);
+            let first_slot = pair.slot_start as usize;
+            if prefetch {
+                // The slot run starts on a cold line per bin.
+                vals.prefetch(first_slot);
+            }
+            let mut pf = LineFilter::new();
+            for (k, &src) in srcs.iter().enumerate() {
+                if prefetch {
+                    if let Some(&ahead) = srcs.get(k + PREFETCH_DISTANCE) {
+                        if pf.admit(ahead as usize) {
+                            rank.prefetch(ahead as usize);
+                            prefetch_read(inv_deg, ahead as usize);
+                        }
+                    }
+                }
+                let src = src as usize;
+                // SAFETY: the check put every PNG source in `p`, below
+                // `num_vertices`, and every bin's slots below `total_msgs`;
+                // the asserts above made those the buffers' lengths. The
+                // caller owns `p`'s bins.
+                unsafe {
+                    let val = rank.get_unchecked(src) * *inv_deg.get_unchecked(src);
+                    vals.write_unchecked(first_slot + k, val);
+                }
+            }
+        }
+    }
+
+    /// Inbox gather of partition `q`: adds every message's value into the
+    /// accumulators of its destinations, in slot order. `prefetch` arms the
+    /// hint that warms the accumulator [`PREFETCH_DISTANCE`] entries ahead
+    /// on the stream.
+    ///
+    /// # Safety
+    /// The caller owns partition `q`: no other thread accesses `acc` at
+    /// `q`'s vertices or writes `q`'s slots of `vals` until this returns.
+    pub unsafe fn gather(
+        &self,
+        q: usize,
+        vals: &SharedSlice<f32>,
+        acc: &SharedSlice<f32>,
+        prefetch: bool,
+    ) {
+        self.assert_slot_buffer(vals.len());
+        self.assert_vertex_buffer("acc", acc.len());
+        let first_slot = self.layout.part_slot_ranges[q].start as usize;
+        let inbox = self.layout.inbox(q);
+        let mut pf = LineFilter::new();
+        // Run k of the stream is slot `first_slot + k`.
+        for (e, (k, dst)) in run_entries(inbox).enumerate() {
+            if prefetch {
+                if let Some(&ahead) = inbox.get(e + PREFETCH_DISTANCE) {
+                    if pf.admit(run_vertex(ahead)) {
+                        acc.prefetch(run_vertex(ahead));
+                    }
+                }
+            }
+            // SAFETY: the check gave the inbox one flagged run per slot of
+            // `q`, opening with one, and ended `q`'s slots at or before
+            // `total_msgs`, so `first_slot + k < vals.len()`; it put every
+            // destination in `q`, below `num_vertices == acc.len()`. The
+            // caller owns `q`.
+            unsafe {
+                let val = vals.get_unchecked(first_slot + k);
+                acc.update_unchecked(dst, |a| *a += val);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -808,5 +1036,79 @@ mod tests {
     #[should_panic(expected = "RUN_FLAG")]
     fn run_flag_bound_rejects_more_vertices() {
         check_run_flag_bound((1 << 31) + 1);
+    }
+
+    /// Partitions {0..4} and {4..8}: v1 has the intra run [2, 3] and one
+    /// message to {6, 7}; v5 has the intra run [6] and one message to {0}.
+    fn check_fixture() -> PcpmLayout {
+        let edges = [(1, 2), (1, 3), (1, 6), (1, 7), (5, 0), (5, 6)];
+        let el = EdgeList::new(8, edges.iter().map(|&e| e.into()).collect());
+        PcpmLayout::build(&Csr::from_edge_list(&el), 4, false)
+    }
+
+    /// Builds the fixture, breaks it with `corrupt`, and creates the view.
+    fn check_corrupted(corrupt: impl FnOnce(&mut PcpmLayout)) {
+        let mut l = check_fixture();
+        corrupt(&mut l);
+        l.kernels(2);
+    }
+
+    #[test]
+    fn built_layout_passes_the_kernel_check() {
+        let l = check_fixture();
+        let f = RUN_FLAG;
+        assert_eq!(l.intra_dst, [2 | f, 3, 6 | f]);
+        assert_eq!(l.intra_srcs, [1, 5]);
+        assert_eq!(l.dest_verts, [f, 6 | f, 7]);
+        assert_eq!(l.png_src, [1, 5]);
+        assert_eq!(l.png_pairs[0], PngPair { dst_part: 1, slot_start: 1, src_start: 0, len: 1 });
+        assert_eq!(l.total_msgs, 2);
+        l.kernels(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition 1: inbox entry outside the partition")]
+    fn kernel_check_rejects_inbox_entry_outside_its_partition() {
+        check_corrupted(|l| l.dest_verts[2] = 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition 1: inbox stream does not open with RUN_FLAG")]
+    fn kernel_check_rejects_missing_leading_flag() {
+        check_corrupted(|l| l.dest_verts[1] = 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition 1: inbox RUN_FLAG count != slot count")]
+    fn kernel_check_rejects_one_flag_too_many() {
+        check_corrupted(|l| l.dest_verts[2] = 7 | RUN_FLAG);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition 1: intra source outside the partition")]
+    fn kernel_check_rejects_intra_source_outside_its_partition() {
+        check_corrupted(|l| l.intra_srcs[1] = 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition 1: PNG source outside the partition")]
+    fn kernel_check_rejects_png_source_outside_its_partition() {
+        check_corrupted(|l| l.png_src[1] = 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition 0: PNG bin")]
+    fn kernel_check_rejects_bin_past_total_msgs() {
+        check_corrupted(|l| l.png_pairs[0].len = 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "PCPM kernel: vals holds 1 entries for 2 slots")]
+    fn kernels_assert_buffer_lengths_at_entry() {
+        let l = check_fixture();
+        let (mut vals, mut acc) = (vec![0.0f32; 1], vec![0.0f32; 8]);
+        let (vals, acc) = (SharedSlice::new(&mut vals), SharedSlice::new(&mut acc));
+        // SAFETY: single-threaded; the kernel panics before any access.
+        unsafe { l.kernels(1).gather(1, &vals, &acc, false) };
     }
 }

@@ -111,13 +111,25 @@ pub fn read_binary<R: Read>(mut r: R) -> io::Result<EdgeList> {
     EdgeList::try_new(n, edges)
 }
 
-/// Writes the binary format.
+/// Writes the binary format. Its header holds the vertex and edge counts as
+/// u32, so a list with more of either is `InvalidInput`, and nothing is
+/// written.
 pub fn write_binary<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
+    let header_word = |what: &str, count: usize| {
+        u32::try_from(count).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{count} {what} do not fit the binary header's u32 count"),
+            )
+        })
+    };
+    let n = header_word("vertices", el.num_vertices())?;
+    let m = header_word("edges", el.num_edges())?;
     let mut w = BufWriter::new(w);
     w.write_all(&MAGIC.to_le_bytes())?;
     w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(el.num_vertices() as u32).to_le_bytes())?;
-    w.write_all(&(el.num_edges() as u32).to_le_bytes())?;
+    w.write_all(&n.to_le_bytes())?;
+    w.write_all(&m.to_le_bytes())?;
     for e in el.edges() {
         w.write_all(&e.src.to_le_bytes())?;
         w.write_all(&e.dst.to_le_bytes())?;
@@ -208,6 +220,14 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // 2^32 vertices is the whole id space and still allowed.
         assert_eq!(read_text(b"# Nodes: 4294967296\n" as &[u8]).unwrap().num_vertices(), 1 << 32);
+    }
+
+    #[test]
+    fn binary_rejects_counts_beyond_its_u32_header() {
+        let mut buf = Vec::new();
+        let err = write_binary(&mut buf, &EdgeList::new(1 << 32, vec![])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty(), "nothing may be written before the error");
     }
 
     #[test]

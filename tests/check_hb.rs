@@ -86,6 +86,42 @@ fn unjoined_scope_read_write_race_is_caught() {
     );
 }
 
+/// Seeded race 1 through the unchecked accessors the PCPM kernels use: a
+/// scope job's `write_unchecked` and the scope body's `get_unchecked` of the
+/// same element, unordered. Dropping the bounds check keeps the read hook.
+#[test]
+fn unchecked_read_racing_a_write_is_caught() {
+    let mut v = vec![0u32; 16];
+    let s = SharedSlice::new(&mut v);
+    let wrote = AtomicBool::new(false);
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rayon::scope(|scope| {
+            let (s, wrote) = (&s, &wrote);
+            scope.spawn(move |_| {
+                // SAFETY: 9 < 16; the unsynchronised read below is the race
+                // under test.
+                unsafe { s.write_unchecked(9, 7) };
+                // ordering: relaxed — deliberately not a modeled edge; only
+                // sequences the interleaving (the write first).
+                wrote.store(true, Ordering::Relaxed);
+            });
+            // ordering: relaxed — see above.
+            while !wrote.load(Ordering::Relaxed) {
+                std::hint::spin_loop();
+            }
+            // SAFETY: 9 < 16; deliberately races the job's write — the
+            // checker panics before the aliasing read executes.
+            let _ = unsafe { s.get_unchecked(9) };
+        });
+    }))
+    .expect_err("an unchecked read racing a scope job's write must panic under check-hb");
+    let msg = payload_msg(err);
+    assert!(
+        msg.contains("check-hb: write-read race on SharedSlice index 9"),
+        "unexpected panic message: {msg}"
+    );
+}
+
 /// Seeded race 2 — write-write across two pools: a job on pool A and a job
 /// on pool B (spawned from inside A's still-open scope, so no join orders
 /// them) write the same element. Under `check-disjoint` semantics this is

@@ -152,7 +152,8 @@ proptest! {
     /// Decoding both run streams reproduces every slot's destination list
     /// and every vertex's intra list, in all four layout modes and with
     /// one-vertex partitions, where every edge is an inter-edge. The run
-    /// view and the branch-free decode see the same runs.
+    /// view and the branch-free decode see the same runs, and the layout
+    /// passes `PcpmLayout::kernels`'s check.
     #[test]
     fn run_streams_round_trip(el in graph_strategy(), vpp in 2usize..48) {
         let csr = Csr::from_edge_list(&el);
@@ -160,6 +161,8 @@ proptest! {
             for binned in [false, true] {
                 for compress in [false, true] {
                     let l = PcpmLayout::build_ext(&csr, vpp, binned, compress);
+                    // Every built layout passes the kernels' one-time check.
+                    l.kernels(2);
                     let (dests, intra) = decode(&l);
                     let (want_dests, want_intra) = expected_lists(&csr, &l, binned, compress);
                     prop_assert_eq!(&dests, &want_dests,
